@@ -46,6 +46,12 @@ def _ray_session(num_cpus: int):
 
 
 def cmd_extract(args) -> int:
+    is_warc = [p.endswith((".warc", ".warc.gz")) for p in args.input]
+    if args.resumable and any(is_warc):
+        # shards are planned and counted from parquet row-group metadata
+        print("extract --resumable takes parquet inputs only; run WARC "
+              "inputs without --resumable", file=sys.stderr)
+        return 2
     ray = _ray_session(args.num_cpus)
     from document_extractor_ray.config import PipelineConfig
     from document_extractor_ray.pipelines import outputs, resume
@@ -55,7 +61,7 @@ def cmd_extract(args) -> int:
     if args.run_id:
         cfg = cfg.with_(run_id=args.run_id)
 
-    if all(p.endswith((".warc", ".warc.gz")) for p in args.input):
+    if all(is_warc):
         # raw Common-Crawl archives: parse per file, same pipeline
         from document_extractor_ray.sources.warc import read_pages_warc
 
@@ -189,7 +195,8 @@ def main(argv=None) -> int:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pe = sub.add_parser("extract", help="run the extraction pipeline")
-    pe.add_argument("--input", nargs="+", required=True, help="pages parquet path(s)")
+    pe.add_argument("--input", nargs="+", required=True,
+                    help="pages parquet path(s), or .warc(.gz) path(s)")
     pe.add_argument("--out", required=True)
     pe.add_argument("--num-cpus", type=int, default=8)
     pe.add_argument("--resumable", action="store_true")

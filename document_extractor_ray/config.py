@@ -2,10 +2,10 @@
 
 Collapses the reference's env-var surface (``entrypoint.sh:24-42``,
 ``pass_pdf.py:92-97``, ``output_writer.py:72-75``) into one immutable
-dataclass that is broadcast into every stage closure / actor
-constructor, so per-worker state can never drift (the reference's
-per-process globals, ``pass_pdf_ocr_a.py:33-34``, are exactly the kind
-of silent divergence this avoids).
+dataclass that is broadcast into every stage closure, so per-worker
+state can never drift (the reference's per-process globals,
+``pass_pdf_ocr_a.py:33-34``, are exactly the kind of silent divergence
+this avoids).
 
 Defaults follow the *deployed* cutoffs (``entrypoint.sh:37-40``:
 TXT 0.75 / OCR-A 0.65 / OCR-B 0.55), not the code-level defaults
@@ -72,17 +72,7 @@ class PipelineConfig:
     deterministic_order: bool = True  # final sort by url (goldens); off for raw throughput
 
     # --- per-stage tuning ---
-    small_batch_size: int = 256
-    big_batch_size: int = 4
-    # Actor pool (min, max): Ray fuses the upstream task stages into
-    # this pool, so max must not cap below the node's CPU count or the
-    # whole pipeline serializes at max actors.
-    fallback_concurrency: tuple = (1, 64)
-    big_fallback_concurrency: tuple = (1, 4)
-    # False (default): fallback runs as stateless tasks with per-worker
-    # module-cached state (same amortization as a pool, none of the
-    # spin-up).  True: explicit actor pool sized by _pool_size().
-    fallback_actor_pool: bool = False
+    small_batch_size: int = 256       # pages per extract_pages batch (Dataset inputs)
 
     # --- stage enable flags (probe wrappers G6: pass_pdf_txt.sh:41-42 etc.) ---
     enable_txt_pass: bool = True

@@ -15,8 +15,8 @@ Mirrors the reference's control flow exactly:
 - ``process_img``   == ``pass_img.main``      (pass_img.py:87-137,
   variant argmax at 23-77)
 
-The Ray stages call ``html_pass1`` (stateless primary stage) and
-``html_fallback`` (actor-pool stage) on masked rows; the sequential
+The Ray stages call ``html_pass1`` (``route_primary``) and
+``html_fallback`` (``fallback_pending``) on masked rows; the sequential
 oracle calls ``process_html`` — which is literally pass1 + fallback —
 so pipeline and oracle agree byte-for-byte by construction.
 """

@@ -303,7 +303,7 @@ def run_curation(
             "pipelines/extract.py)"
         )
 
-    # --- benchmark set: n lowest surviving doc ids -----------------------
+    # --- benchmark set: n lowest cleaned doc ids (dup losers included) --
     # NOT sort().limit(): a global sort of the full doc table to pick
     # 3 rows spilled 35 GB at 10M docs.  Per-batch top-n partials
     # (n rows per block) merge on the driver instead — zero shuffle.
@@ -487,7 +487,7 @@ def sequential_curation(
     roots = cluster_pairs(sorted(edges))
     drop |= {n for n, r in roots.items() if r != n}
 
-    # decontaminate against the n lowest surviving ids
+    # decontaminate against the n lowest cleaned doc ids
     bench_texts = texts[:n_benchmark]
     bench = set()
     for text in bench_texts:

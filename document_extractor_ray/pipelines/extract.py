@@ -1,23 +1,29 @@
-"""The flagship extraction pipeline — Ray Data assembly.
+"""The extraction pipeline — Ray Data assembly.
 
 Replaces the reference's three entry points (watcher loop, pass_pdf
-orchestrator, pass_any ad-hoc; SURVEY.md §3) with one streaming
-Dataset pipeline:
+orchestrator, pass_any ad-hoc; SURVEY.md §3) with one plan, built by
+``run_extraction``:
 
-    read_parquet(pages)
-      -> [optional] exact dedup-first by url        (shuffle on url)
-      -> route_and_explode (sniff + container E20)  (stateless tasks)
-      -> size-bucket split                          (skew lane, north_rule)
-      -> primary_extract (pass-1 cascade)           (stateless tasks)
-      -> FallbackExtractor (OCR-A/B analogues)      (actor pool, masked)
-      -> union -> [optional] sort by url            (determinism)
+    source
+      -> [optional] exact dedup-first by url        (slim (url, ts) scan)
+      -> extract_pages per batch                    (stateless tasks:
+           sniff + container explode + pass 1, then the OCR-A/B
+           analogue fallback on the rows pass 1 rejects)
+      -> [optional] sort by url                     (determinism)
 
-Wide operations and their keys (SURVEY.md §7.4): dedup shuffles on
-``url``; the final sort orders by ``url``; the size-bucket split is a
-streaming filter (no shuffle).  Pages of one document never leave the
-row (list columns), so there is NO per-document groupby on the hot
-path — the reference's per-doc median/concat (A1/A3) are per-row
-reduces inside the stages.
+Parquet paths drive the plan with row-group FRAGMENTS: each task reads
+its row groups and applies the dedup winner filter inside the
+extraction task, so payload bytes never enter the object store.  Every
+other input (a ``pa.Table``, a JSONL/CSV/IPC/WARC Dataset, a file with
+too few row groups to feed the cluster, or a dedup above the broadcast
+budget) runs ``dedup_first`` and then the same ``extract_pages`` as one
+``map_batches`` over the Dataset.
+
+Wide operations and their keys (SURVEY.md §7.4): dedup shuffles the
+slim (url, warc_ts) projection on ``url``; the final sort orders by
+``url``.  Pages of one document never leave the row (list columns), so
+there is NO per-document groupby on the hot path — the reference's
+per-doc median/concat (A1/A3) are per-row reduces inside the kernel.
 """
 
 from __future__ import annotations
@@ -30,11 +36,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from document_extractor_ray.config import DEFAULT_CONFIG, PipelineConfig
-from document_extractor_ray.stages.extract import primary_extract, route_primary
-from document_extractor_ray.stages.fallback import FallbackExtractor, make_fallback_fn
-from document_extractor_ray.stages.route import route_and_explode
-
-BIG_BUCKET = 1  # size_bucket >= this goes down the big-document lane (>= 64 KiB)
+from document_extractor_ray.sources import PAGE_COLUMNS, read_pages
+from document_extractor_ray.stages.extract import extract_pages
 
 
 # Max number of duplicated urls whose winner timestamps are broadcast
@@ -432,94 +435,15 @@ def _filter_to_winners(t: pa.Table, ref) -> pa.Table:
     return t.filter(keep)
 
 
-def build_extraction(
-    ds: "ray.data.Dataset", cfg: PipelineConfig = DEFAULT_CONFIG
-) -> "ray.data.Dataset":
-    """pages Dataset -> FINAL_SCHEMA Dataset (lazy; caller consumes).
-
-    Skew note: an earlier design split the stream into small/big
-    size-bucket lanes with their own batch sizes — but a Ray Dataset
-    with two consumers RE-EXECUTES its upstream per consumer (two
-    reads, two dedup shuffles), which is strictly worse at scale than
-    the skew it avoids.  Instead skew is bounded within one lane:
-    modest batch sizes keep a giant document from stalling many
-    neighbors, the per-page cascade bounds per-row work, and the
-    size_bucket column still partitions outputs/metrics.  For a true
-    two-lane physical plan, persist the routed intermediate per shard
-    (pipelines/resume.py) and run the lanes over the committed files.
-    """
-    if cfg.dedup:
-        ds = dedup_first(ds)
-
-    # Fused sniff+explode+pass-1 (one intermediate Arrow materialization
-    # of the payload column instead of two; see route_primary docstring).
-    ds = ds.map_batches(
-        route_primary,
-        batch_format="pyarrow",
-        fn_kwargs={"cfg": cfg},
-        batch_size=cfg.small_batch_size,
-    )
-
-    # Fallback stage: stateless tasks by default.  The per-worker state
-    # (compiled regexes, the unicode table) is module-level and worker
-    # processes are reused across tasks, so tasks amortize init exactly
-    # like an actor pool — without the measured ~5 s pool spin-up per
-    # execution and without the pool-size/CPU-starvation tuning (a pool
-    # == num_cpus deadlocks the fused plan).  cfg.fallback_actor_pool
-    # selects the explicit pool for deployments that want pinned
-    # resources (e.g. a model-loading variant of the stage).
-    if cfg.fallback_actor_pool:
-        final = ds.map_batches(
-            FallbackExtractor,
-            batch_format="pyarrow",
-            fn_constructor_kwargs={"cfg": cfg},
-            batch_size=cfg.big_batch_size * 8,
-            concurrency=_pool_size(cfg),
-            num_cpus=1,
-        )
-    else:
-        final = ds.map_batches(
-            make_fallback_fn(cfg),
-            batch_format="pyarrow",
-            batch_size=cfg.big_batch_size * 8,
-        )
-    if cfg.deterministic_order:
-        final = final.sort("url")
-    return final
-
-
-def _pool_size(cfg: PipelineConfig) -> int:
-    """Fallback actor pool size: HALF the cluster CPUs, fixed.
-
-    Measured on the 20k-doc bench (32 cpus): autoscaling (1, 64) pays a
-    ramp from one actor (~30s); a fixed pool equal to num_cpus
-    DEADLOCKS (the pool reserves every CPU and the read/shuffle stages
-    starve — also the cause of a flaky full-pipeline hang); half the
-    CPUs ran fastest (11.7s vs 30.6s).  Ray fuses the upstream task
-    stages into this pool, so it is the pipeline's compute engine and
-    the remaining CPUs serve reads, shuffles and the object store."""
-    import ray
-
-    if ray.is_initialized():
-        n = int(ray.cluster_resources().get("CPU", 8))
-    else:
-        n = 8
-    return max(2, n // 2)
-
-
-# Canonical pages reader lives in the sources package; re-exported
-# here for the pipeline's callers.
-from document_extractor_ray.sources import PAGE_COLUMNS, read_pages  # noqa: E402
-
 # ---------------------------------------------------------------------------
-# Fused read+extract plan (the production path for parquet inputs)
+# Row-group fragments: how parquet paths feed extract_pages
 # ---------------------------------------------------------------------------
 #
 # Ray's ReadParquet is a separate operator from the extraction
 # map_batches (block splitting prevents operator fusion), so every
 # payload byte crosses the object store once between read and extract.
 # Measured on the 300k-page bench corpus that handoff is ~35% of wall
-# time at 16 cpus (19.8 s -> 13.0 s fused).  The fused plan drives the
+# time at 16 cpus (19.8 s -> 13.0 s fused).  Parquet paths drive the
 # pipeline with row-group FRAGMENTS instead: each task reads its row
 # groups inside the extraction UDF, so payload bytes live only in the
 # task's heap and only the small result rows enter the object store.
@@ -547,14 +471,14 @@ def _pq_handle(path: str):
     return pf
 
 
-# Target pages per fused task: bounds the payload bytes a task holds
+# Target pages per fragment task: bounds the payload bytes a task holds
 # (a batch of fragments is read into one heap).  Row-group sizes are
 # writer-controlled, so the fragment batch size adapts to them.
 FUSED_ROWS_PER_TASK = 8192
 
 
 def page_fragments(paths: Union[str, list]):
-    """Enumerate (path, row_group) fragments for the fused plan.
+    """Enumerate (path, row_group) fragments of parquet path(s).
     Returns (fragments, rows_per_group_max)."""
     import pyarrow.parquet as pq
 
@@ -572,12 +496,8 @@ def page_fragments(paths: Union[str, list]):
 
 def _fused_read_extract(b, cfg: PipelineConfig, winner_ref=None) -> pa.Table:
     """Fragment batch -> extracted rows: read each row group in-task,
-    apply the dedup winner filter (when broadcast), then the fused
-    sniff+explode+pass-1 and the fallback cascade — all without the
-    payload column ever entering the object store."""
-    from document_extractor_ray.stages.fallback import make_fallback_fn
-
-    fb = make_fallback_fn(cfg)
+    apply the dedup winner filter (when broadcast), then extract_pages
+    — all without the payload column ever entering the object store."""
     outs = []
     for p, rg in zip(b["path"], b["rg"]):
         p = str(p)
@@ -592,7 +512,7 @@ def _fused_read_extract(b, cfg: PipelineConfig, winner_ref=None) -> pa.Table:
             continue
         if winner_ref is not None:
             t = _filter_to_winners(t, winner_ref)
-        outs.append(fb(route_primary(t, cfg)))
+        outs.append(extract_pages(t, cfg))
     return pa.concat_tables(outs)
 
 
@@ -616,77 +536,84 @@ def _fragment_error_table(path: str, rg: int, err: Exception, cfg) -> pa.Table:
     )
 
 
-def build_extraction_fused(
-    paths: Union[str, list], cfg: PipelineConfig = DEFAULT_CONFIG
-) -> Optional["ray.data.Dataset"]:
-    """Fused plan over parquet path(s); returns None when this input
-    needs the classic plan (above-budget dedup: the winner filter must
-    be a partitioned join over the full stream)."""
-    # Note: this slim pre-scan requires the url/warc_ts column chunks
-    # to be readable; corruption in PAYLOAD pages is tolerated (the
-    # fused stage quarantines those fragments), corruption in the key
-    # columns fails the dedup scan loudly — preferable to silently
-    # mis-deduplicating.
-    winner_ref = None
-    if cfg.dedup:
-        from document_extractor_ray.sources import read_parquet_clean
 
-        slim = read_parquet_clean(paths, columns=["url", "warc_ts"])
-        n_dups, dups = _dup_winners(slim)
-        if n_dups > DEDUP_BROADCAST_LIMIT:
-            return None
-        if n_dups > 0:
-            winner_ref = _broadcast_winner_dim(
-                dups,
-                full_ds=read_parquet_clean(paths, columns=PAGE_COLUMNS),
-            )
 
-    frags, max_rg_rows = page_fragments(paths)
-    # The fused plan's parallelism is BOUNDED by fragment count (one
-    # row group is the smallest unit a task can read).  A writer that
-    # chose huge row groups (measured: a 2M-page file with 16 groups
-    # capped the pipeline at 16 tasks — 129 s vs 33 s after the fix)
-    # must fall back to the classic plan, whose post-read blocks split
-    # by size and re-balance across the whole cluster.  Threshold: the
-    # fused plan needs at least ~2 fragments per CPU to keep every
-    # core fed through the tail.
+def _needs_dataset_plan(frags: list, max_rg_rows: int) -> bool:
+    """True when a parquet input's row groups (``page_fragments``
+    output) are too coarse for the fragment plan.  Its parallelism is
+    BOUNDED by fragment count (one row group is the smallest unit a
+    task can read): a writer that chose huge row groups (measured: a
+    2M-page file with 16 groups capped the pipeline at 16 tasks — 129 s
+    vs 33 s on the Dataset plan, whose post-read blocks split by size
+    and re-balance across the cluster).  Threshold: at least ~2 fragments per CPU keep every
+    core fed through the tail; tiny inputs (under one task of rows)
+    stay on fragments regardless of grouping."""
     n_cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    total_rows_bound = len(frags) * max_rg_rows
-    if len(frags) < 2 * n_cpus and total_rows_bound > FUSED_ROWS_PER_TASK:
-        # coarse-grouped AND big enough that parallelism matters;
-        # tiny inputs (under one task of rows) stay fused
-        return None
-    # Scale fragments-per-task so a task never holds more than
-    # ~FUSED_ROWS_PER_TASK pages of payload, whatever row-group size
-    # the writer chose (a one-group 10^6-row file gets batch_size=1).
-    per_task = max(1, min(FUSED_FRAGS_PER_TASK, FUSED_ROWS_PER_TASK // max_rg_rows))
-    final = ray.data.from_items(frags).map_batches(
-        _fused_read_extract,
-        fn_kwargs={"cfg": cfg, "winner_ref": winner_ref},
-        batch_format="numpy",
-        batch_size=per_task,
-    )
-    if cfg.deterministic_order:
-        final = final.sort("url")
-    return final
+    return len(frags) < 2 * n_cpus and len(frags) * max_rg_rows > FUSED_ROWS_PER_TASK
 
 
 def run_extraction(
-    source: Union[str, "ray.data.Dataset", pa.Table],
+    source: Union[str, list, "ray.data.Dataset", pa.Table],
     cfg: PipelineConfig = DEFAULT_CONFIG,
 ) -> "ray.data.Dataset":
-    is_paths = isinstance(source, str) or (
-        isinstance(source, list) and source and all(isinstance(s, str) for s in source)
-    )
-    if is_paths and not cfg.fallback_actor_pool:
-        fused = build_extraction_fused(source, cfg)
-        if fused is not None:
-            return fused
-        ds = read_pages(source)  # above-budget dedup: classic plan
-    elif is_paths:
-        ds = read_pages(source)
-    elif isinstance(source, pa.Table):
-        ds = ray.data.from_arrow(source)
+    """Pages source -> FINAL_SCHEMA Dataset (lazy; caller consumes).
+
+    ``source`` is a parquet path or list of paths, a pages ``pa.Table``
+    or a pages Dataset (any ``sources`` reader).  Parquet paths run on
+    row-group fragments unless ``_needs_dataset_plan`` says otherwise or
+    the dedup winner set exceeds the broadcast budget (its filter must
+    then be a partitioned join over the full stream); everything else
+    runs extract_pages over the Dataset's own blocks."""
+    ds = None
+    if isinstance(source, (str, list)):
+        frags, max_rg_rows = page_fragments(source)
+        winner_ref = None
+        if _needs_dataset_plan(frags, max_rg_rows):
+            ds = read_pages(source)
+        elif cfg.dedup:
+            # The slim pre-scan requires the url/warc_ts column chunks
+            # to be readable; corruption in PAYLOAD pages is tolerated
+            # (the fragment task quarantines those fragments),
+            # corruption in the key columns fails the dedup scan loudly
+            # — preferable to silently mis-deduplicating.
+            from document_extractor_ray.sources import read_parquet_clean
+
+            n_dups, dups = _dup_winners(
+                read_parquet_clean(source, columns=["url", "warc_ts"])
+            )
+            if n_dups > DEDUP_BROADCAST_LIMIT:
+                ds = read_pages(source)
+            elif n_dups > 0:
+                winner_ref = _broadcast_winner_dim(
+                    dups, full_ds=read_parquet_clean(source, columns=PAGE_COLUMNS)
+                )
+        if ds is None:
+            # Scale fragments-per-task so a task never holds more than
+            # ~FUSED_ROWS_PER_TASK pages of payload, whatever row-group
+            # size the writer chose (a one-group 10^6-row file gets
+            # batch_size=1).
+            per_task = max(
+                1, min(FUSED_FRAGS_PER_TASK, FUSED_ROWS_PER_TASK // max_rg_rows)
+            )
+            final = ray.data.from_items(frags).map_batches(
+                _fused_read_extract,
+                fn_kwargs={"cfg": cfg, "winner_ref": winner_ref},
+                batch_format="numpy",
+                batch_size=per_task,
+            )
     else:
-        ds = source
-    return build_extraction(ds, cfg)
+        ds = ray.data.from_arrow(source) if isinstance(source, pa.Table) else source
+    if ds is not None:
+        if cfg.dedup:
+            ds = dedup_first(ds)
+        # modest batches bound how long one giant document stalls the
+        # rows batched with it
+        final = ds.map_batches(
+            extract_pages,
+            batch_format="pyarrow",
+            fn_kwargs={"cfg": cfg},
+            batch_size=cfg.small_batch_size,
+        )
+    if cfg.deterministic_order:
+        final = final.sort("url")
+    return final

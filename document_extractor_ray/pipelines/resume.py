@@ -29,17 +29,11 @@ import shutil
 import time
 from typing import Dict, List, Optional, Sequence
 
-import pyarrow.compute as pc
-
 import ray.data
 
 from document_extractor_ray import __version__
 from document_extractor_ray.config import DEFAULT_CONFIG, PipelineConfig
-from document_extractor_ray.pipelines.extract import (
-    build_extraction,
-    read_pages,
-    run_extraction,
-)
+from document_extractor_ray.pipelines.extract import run_extraction
 
 
 def plan_shards(input_files: Sequence[str], shard_size: int = 4) -> List[List[str]]:
@@ -84,8 +78,9 @@ def run_shard(
     os.makedirs(tmp_dir, exist_ok=True)
 
     t0 = time.perf_counter()
-    # run_extraction on file paths takes the fused read+extract plan
-    # (payloads never enter the object store; PERF.md step 18).
+    # run_extraction on file paths reads row groups inside the
+    # extraction tasks (payloads never enter the object store; PERF.md
+    # step 18).
     final = run_extraction(files, cfg)
     final.write_parquet(os.path.join(tmp_dir, "final"))
 

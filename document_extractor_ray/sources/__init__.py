@@ -20,6 +20,35 @@ import ray.data
 PAGE_COLUMNS = ["url", "warc_ts", "html", "text"]
 
 
+def _to_page_columns(t: "pa.Table") -> "pa.Table":
+    """Normalize an interchange-format pages table to PAGE_COLUMNS with
+    the parquet source's dtypes: missing columns become typed nulls,
+    warc_ts given as epoch microseconds becomes timestamp[us], html
+    given as UTF-8 text becomes binary, and an all-empty url/text
+    column (parsed as null-typed) gets its string type back.  All casts
+    are vectorized Arrow kernels, no per-row Python."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    canonical = {
+        "url": pa.string(),
+        "warc_ts": pa.timestamp("us"),
+        "html": pa.binary(),
+        "text": pa.string(),
+    }
+    cols = {}
+    for c, typ in canonical.items():
+        col = t[c] if c in t.schema.names else pa.nulls(t.num_rows, typ)
+        if pa.types.is_null(col.type):
+            col = pa.nulls(t.num_rows, typ)
+        elif c == "warc_ts" and pa.types.is_integer(col.type):
+            col = pc.cast(col, typ)
+        elif c == "html" and pa.types.is_string(col.type):
+            col = pc.cast(col, typ)
+        cols[c] = col
+    return pa.table(cols)
+
+
 def read_parquet_clean(
     path: Union[str, List[str]], columns=None, **kw
 ) -> "ray.data.Dataset":
@@ -57,46 +86,15 @@ def read_pages(path: Union[str, List[str]]) -> "ray.data.Dataset":
     )
 
 
-
-
 def read_pages_jsonl(path: Union[str, List[str]]) -> "ray.data.Dataset":
     """Read a pages table from JSONL shards (one JSON object per line,
     the interchange format crawl dumps and training sets ship in) and
     normalize to the canonical PAGE_COLUMNS schema.  JSON has no
     column pushdown, so pruning happens in the first map_batches —
     still before anything wide ships across stages."""
-    import pyarrow as pa
-
-    ds = ray.data.read_json(path)
-
-    def prune(t: "pa.Table") -> "pa.Table":
-        import pyarrow.compute as pc
-
-        canonical = {
-            "url": pa.string(),
-            "warc_ts": pa.timestamp("us"),
-            "html": pa.binary(),
-            "text": pa.string(),
-        }
-        cols = {}
-        for c in PAGE_COLUMNS:
-            cols[c] = (
-                t[c]
-                if c in t.schema.names
-                else pa.nulls(t.num_rows, canonical[c])
-            )
-        # JSONL carries timestamps as epoch microseconds; restore the
-        # parquet source's timestamp[us] dtype so downstream dedup /
-        # window stages see one schema regardless of source format.
-        if pa.types.is_integer(cols["warc_ts"].type):
-            cols["warc_ts"] = pc.cast(cols["warc_ts"], pa.timestamp("us"))
-        # JSONL carries html as UTF-8 text; the pipeline's payload
-        # column is binary (parquet source parity).
-        if pa.types.is_string(cols["html"].type):
-            cols["html"] = pc.cast(cols["html"], pa.binary())
-        return pa.table(cols)
-
-    return ds.map_batches(prune, batch_format="pyarrow")
+    return ray.data.read_json(path).map_batches(
+        _to_page_columns, batch_format="pyarrow"
+    )
 
 
 def read_pages_csv(path: Union[str, List[str]]) -> "ray.data.Dataset":
@@ -108,7 +106,6 @@ def read_pages_csv(path: Union[str, List[str]]) -> "ray.data.Dataset":
     both casts are vectorized Arrow kernels, no per-row Python.
     Parquet remains the production source — CSV has no projection or
     row-group pushdown, so the whole row always leaves storage."""
-    import pyarrow as pa
     from pyarrow import csv as pacsv
 
     # html payloads span lines; Arrow's default parser rejects quoted
@@ -116,34 +113,7 @@ def read_pages_csv(path: Union[str, List[str]]) -> "ray.data.Dataset":
     ds = ray.data.read_csv(
         path, parse_options=pacsv.ParseOptions(newlines_in_values=True)
     )
-
-    def prune(t: "pa.Table") -> "pa.Table":
-        import pyarrow.compute as pc
-
-        canonical = {
-            "url": pa.string(),
-            "warc_ts": pa.timestamp("us"),
-            "html": pa.binary(),
-            "text": pa.string(),
-        }
-        cols = {}
-        for c in PAGE_COLUMNS:
-            cols[c] = (
-                t[c]
-                if c in t.schema.names
-                else pa.nulls(t.num_rows, canonical[c])
-            )
-        if pa.types.is_integer(cols["warc_ts"].type):
-            cols["warc_ts"] = pc.cast(cols["warc_ts"], pa.timestamp("us"))
-        if pa.types.is_string(cols["html"].type):
-            cols["html"] = pc.cast(cols["html"], pa.binary())
-        # a fully-empty CSV text column parses as null-typed
-        for c in ("url", "text"):
-            if pa.types.is_null(cols[c].type):
-                cols[c] = pa.nulls(t.num_rows, canonical[c])
-        return pa.table(cols)
-
-    return ds.map_batches(prune, batch_format="pyarrow")
+    return ds.map_batches(_to_page_columns, batch_format="pyarrow")
 
 
 def read_pages_ipc(path):
@@ -158,47 +128,20 @@ def read_pages_ipc(path):
     row-group pruning or column projection pushdown at the reader."""
     import pyarrow as pa
 
-    ds = ray.data.read_binary_files(path)
-
     def decode(t: "pa.Table") -> "pa.Table":
-        import pyarrow.compute as pc
         import pyarrow.ipc as ipc
 
-        outs = []
-        for blob in t["bytes"].to_pylist():  # one IPC file per row
-            tbl = ipc.open_file(pa.BufferReader(blob)).read_all()
-            canonical = {
-                "url": pa.string(),
-                "warc_ts": pa.timestamp("us"),
-                "html": pa.binary(),
-                "text": pa.string(),
-            }
-            cols = {}
-            for c in PAGE_COLUMNS:
-                cols[c] = (
-                    tbl[c].combine_chunks()
-                    if c in tbl.schema.names
-                    else pa.nulls(tbl.num_rows, canonical[c])
-                )
-            if pa.types.is_integer(cols["warc_ts"].type):
-                cols["warc_ts"] = pc.cast(cols["warc_ts"], pa.timestamp("us"))
-            if pa.types.is_string(cols["html"].type):
-                cols["html"] = pc.cast(cols["html"], pa.binary())
-            for c in ("url", "text"):
-                if pa.types.is_null(cols[c].type):
-                    cols[c] = pa.nulls(tbl.num_rows, canonical[c])
-            outs.append(pa.table(cols))
-        return pa.concat_tables(outs) if outs else pa.table(
-            {
-                "url": pa.array([], pa.string()),
-                "warc_ts": pa.array([], pa.timestamp("us")),
-                "html": pa.array([], pa.binary()),
-                "text": pa.array([], pa.string()),
-            }
+        return pa.concat_tables(
+            [
+                _to_page_columns(ipc.open_file(pa.BufferReader(blob)).read_all())
+                for blob in t["bytes"].to_pylist()  # one IPC file per row
+            ]
+            or [_to_page_columns(pa.table({}))]
         )
 
-    return ds.map_batches(decode, batch_format="pyarrow")
-
+    return ray.data.read_binary_files(path).map_batches(
+        decode, batch_format="pyarrow"
+    )
 
 
 def read_partitioned(out_dir: str) -> "ray.data.Dataset":

@@ -13,12 +13,15 @@ html:binary, text:null, lang absent) so the extraction pipeline runs
 unchanged on raw archives:
 
     ds = read_pages_warc(["crawl/seg-0.warc", ...])
-    final = build_extraction(ds, cfg)
+    final = run_extraction(ds, cfg)
 
 Parallelism model (the Common-Crawl reality): WARC has no row-group
 index — a FILE is the smallest parallel unit, and a crawl ships tens
 of thousands of ~1 GB files, so one read task per file saturates any
-cluster.  gzip members (.warc.gz) are handled transparently per file.
+cluster.  Inside a task the file streams: a table is emitted each time
+the buffered payload reaches ``WARC_BLOCK_BYTES``, so a task's heap is
+bounded by that budget, not by the file size.  gzip members (.warc.gz)
+are handled transparently per file.
 
 ``write_warc_fixture`` serializes a pages table into a valid WARC so
 tests can pin parquet-source/WARC-source pipeline equality without any
@@ -101,23 +104,17 @@ def parse_warc_file(path: str) -> Iterator[Tuple[str, int, bytes]]:
             yield url, ts, _http_body(payload)
 
 
-def read_pages_warc(paths: Union[str, List[str]]) -> "ray.data.Dataset":
-    """Pages Dataset from WARC file(s), PAGE_COLUMNS-normalized
-    (text is null — a raw crawl has no pre-extracted text column)."""
+# Payload bytes a WARC read task buffers before it emits a table.
+WARC_BLOCK_BYTES = 64 * 1024 * 1024
+
+
+def warc_page_tables(path: str) -> Iterator["pa.Table"]:
+    """PAGE_COLUMNS tables of one WARC file's response records, one per
+    ``WARC_BLOCK_BYTES`` of buffered payload (text is null — a raw
+    crawl has no pre-extracted text column)."""
     import pyarrow as pa
 
-    if isinstance(paths, str):
-        paths = [paths]
-
-    def load(batch) -> "pa.Table":
-        urls: list = []
-        tss: list = []
-        htmls: list = []
-        for path in batch["path"]:
-            for url, ts, html in parse_warc_file(path):
-                urls.append(url)
-                tss.append(ts)
-                htmls.append(html)
+    def table(urls, tss, htmls):
         return pa.table(
             {
                 "url": pa.array(urls, pa.string()),
@@ -126,6 +123,29 @@ def read_pages_warc(paths: Union[str, List[str]]) -> "ray.data.Dataset":
                 "text": pa.nulls(len(urls), pa.string()),
             }
         )
+
+    urls, tss, htmls, buffered, emitted = [], [], [], 0, False
+    for url, ts, html in parse_warc_file(path):
+        urls.append(url)
+        tss.append(ts)
+        htmls.append(html)
+        buffered += len(html)
+        if buffered >= WARC_BLOCK_BYTES:
+            yield table(urls, tss, htmls)
+            urls, tss, htmls, buffered, emitted = [], [], [], 0, True
+    if urls or not emitted:  # a file without responses still has a schema
+        yield table(urls, tss, htmls)
+
+
+def read_pages_warc(paths: Union[str, List[str]]) -> "ray.data.Dataset":
+    """Pages Dataset from WARC file(s), PAGE_COLUMNS-normalized; one
+    read task per file, streamed in bounded blocks."""
+    if isinstance(paths, str):
+        paths = [paths]
+
+    def load(batch):
+        for path in batch["path"]:
+            yield from warc_page_tables(str(path))
 
     return ray.data.from_items([{"path": p} for p in paths]).map_batches(
         load, batch_format="numpy", batch_size=1

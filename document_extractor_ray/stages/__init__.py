@@ -1,3 +1,3 @@
-"""Ray Data stage functions (vectorized map_batches bodies + the
-stateful fallback actor).  All stages are Arrow-in/Arrow-out
-(batch_format='pyarrow')."""
+"""Ray Data stage functions: Arrow-in/Arrow-out batch kernels
+(batch_format='pyarrow'), free of Ray so the traced no-Ray replay and
+the pipelines run the same code."""

@@ -1,14 +1,17 @@
-"""Primary extraction stage (stateless map_batches).
+"""Page-to-record extraction: the one per-batch kernel every plan runs.
 
-Runs the cheap routes to completion (txt / img / container-parent /
-noise / unsupported) and pass 1 of the html cascade
-(``pass_pdf_txt.run`` analogue).  Rows that pass-1 rejects leave this
-stage with the internal PENDING status and their raw payload intact —
-the masked fallback actor stage picks exactly those up (G1 mapping:
-"stage k operates on ~accepted rows only", SURVEY.md §2.10).
+``extract_pages`` turns a pages batch (PAGE_COLUMNS) into FINAL_SCHEMA
+rows in two steps:
 
-For every completed row the html payload is nulled out so the heavy
-binary column doesn't travel further down the pipeline than it must.
+- ``route_primary`` sniffs every payload, explodes containers one level
+  deep (child rows ``parent::child``) and runs the cheap routes to
+  completion (txt / img / container-parent / noise / unsupported) plus
+  pass 1 of the html cascade (``pass_pdf_txt.run`` analogue).  Rows that
+  pass 1 rejects keep the internal PENDING status and their raw payload;
+  every other row's payload is nulled out.
+- ``stages.fallback.fallback_pending`` runs the OCR-A / OCR-B analogues
+  on exactly the PENDING rows (G1 mapping: "stage k operates on
+  ~accepted rows only", SURVEY.md §2.10) and drops the payload column.
 """
 
 from __future__ import annotations
@@ -19,52 +22,12 @@ import pyarrow as pa
 
 from document_extractor_ray.config import PipelineConfig
 from document_extractor_ray.core import cascade, htmlx, records, sniff
-
-# FINAL_SCHEMA + the retained payload for pending rows.
-PRIMARY_SCHEMA = pa.schema(list(records.FINAL_SCHEMA) + [pa.field("html", pa.binary())])
+from document_extractor_ray.stages.fallback import fallback_pending
 
 
-def primary_extract(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
-    urls = batch["url"].to_pylist()
-    htmls = batch["html"].to_pylist()
-    texts = batch["text"].to_pylist()
-    kinds = batch["doc_kind"].to_pylist()
-    sizes = batch["size_bytes"].to_pylist()
-    n_children = batch["n_children"].to_pylist()
-
-    recs: List[dict] = []
-    keep_html: List[Optional[bytes]] = []
-
-    for url, payload, text, kind, size, nchild in zip(
-        urls, htmls, texts, kinds, sizes, n_children
-    ):
-        payload = payload or b""
-        if kind == sniff.KIND_CONTAINER:
-            if nchild < 0:
-                res = cascade.DocResult(
-                    status="ERROR",
-                    pass_used="portfolio",
-                    quarantine=True,
-                    reason=cascade.QUARANTINE_RC1,
-                    notes="decode error",
-                )
-            else:
-                res = cascade.container_parent(nchild, cfg)
-            recs.append(records.assemble_record(url, kind, size, res, cfg))
-            keep_html.append(None)
-            continue
-        if kind == sniff.KIND_HTML:
-            units = htmlx.split_pages(htmlx.decode_payload(payload))
-            res = cascade.html_pass1(units, size, cfg)
-            recs.append(records.assemble_record(url, kind, size, res, cfg))
-            keep_html.append(payload if res.status == cascade.STATUS_PENDING else None)
-            continue
-        res = cascade.process_any(kind, payload, text, cfg)
-        recs.append(records.assemble_record(url, kind, size, res, cfg))
-        keep_html.append(None)
-
-    out = records.records_to_table(recs)
-    return out.append_column(pa.field("html", pa.binary()), pa.array(keep_html, pa.binary()))
+def extract_pages(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
+    """Pages batch -> FINAL_SCHEMA rows (route + pass 1 + fallback)."""
+    return fallback_pending(route_primary(batch, cfg), cfg)
 
 
 def route_primary(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
@@ -74,8 +37,6 @@ def route_primary(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
     workload is memory-bandwidth bound at high parallelism — measured
     ~23% per-core throughput loss from 4 to 16 busy cores — so every
     avoided copy of the binary column is wall time)."""
-    from document_extractor_ray.core.records import partition_of
-
     urls = batch["url"].to_pylist()
     htmls = batch["html"].to_pylist()
     texts = batch["text"].to_pylist() if "text" in batch.column_names else [""] * len(urls)

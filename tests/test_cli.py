@@ -28,3 +28,13 @@ def test_cli_gen_fixtures_roundtrip(ray_session, tmp_path, capsys):
     meta = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert meta["rows"] == 50
     assert pq.read_metadata(out).num_rows >= 50
+
+
+def test_cli_extract_resumable_rejects_warc(tmp_path, capsys):
+    from document_extractor_ray.cli import main
+
+    rc = main(["extract", "--input", str(tmp_path / "crawl.warc.gz"),
+               "--out", str(tmp_path / "out"), "--resumable"])
+    assert rc != 0
+    assert "--resumable takes parquet inputs only" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

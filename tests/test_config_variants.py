@@ -32,10 +32,8 @@ def _normalize(v):
         dict(big_char_limit=2000),
         # everything forced through fallback
         dict(enable_txt_pass=False),
-        # explicit actor pool instead of task-mode fallback
-        dict(fallback_actor_pool=True),
     ],
-    ids=["code-defaults", "no-ocr-a", "char-limit", "no-pass1", "actor-pool"],
+    ids=["code-defaults", "no-ocr-a", "char-limit", "no-pass1"],
 )
 def test_pipeline_matches_oracle_under_config(ray_session, cfg_kwargs):
     from document_extractor_ray import fixtures, oracle

@@ -61,10 +61,8 @@ def _ray(ray_session):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_pipeline_matches_oracle_on_fuzzed_corpora(_ray, rows):
-    import ray.data
-
     from document_extractor_ray import oracle
-    from document_extractor_ray.pipelines.extract import build_extraction
+    from document_extractor_ray.pipelines.extract import run_extraction
 
     table = pa.table(
         {
@@ -82,9 +80,7 @@ def test_pipeline_matches_oracle_on_fuzzed_corpora(_ray, rows):
     # canonical row so identical multisets pair deterministically.
     canon = lambda r: repr(sorted((k, v) for k, v in r.items()))
     want = sorted(oracle.run_oracle(table, cfg)["final"].to_pylist(), key=canon)
-    got = sorted(
-        build_extraction(ray.data.from_arrow(table), cfg).take_all(), key=canon
-    )
+    got = sorted(run_extraction(table, cfg).take_all(), key=canon)
     assert len(got) == len(want), (len(got), len(want))
     for g, w in zip(got, want):
         assert g == w, g["url"]
@@ -114,10 +110,8 @@ _configs = st.fixed_dictionaries(
 def test_pipeline_matches_oracle_across_config_space(_ray, rows, cfg_kwargs):
     """Identity must hold for EVERY config: forced accepts/rejects,
     disabled stages, forced per-page, tiny big-doc thresholds."""
-    import ray.data
-
     from document_extractor_ray import oracle
-    from document_extractor_ray.pipelines.extract import build_extraction
+    from document_extractor_ray.pipelines.extract import run_extraction
 
     table = pa.table(
         {
@@ -135,9 +129,7 @@ def test_pipeline_matches_oracle_across_config_space(_ray, rows, cfg_kwargs):
     # canonical row so identical multisets pair deterministically.
     canon = lambda r: repr(sorted((k, v) for k, v in r.items()))
     want = sorted(oracle.run_oracle(table, cfg)["final"].to_pylist(), key=canon)
-    got = sorted(
-        build_extraction(ray.data.from_arrow(table), cfg).take_all(), key=canon
-    )
+    got = sorted(run_extraction(table, cfg).take_all(), key=canon)
     assert len(got) == len(want), (len(got), len(want))
     for g, w in zip(got, want):
         assert g == w, g["url"]
@@ -191,11 +183,9 @@ def test_join_dedup_path_matches_oracle_on_fuzzed_corpora(_ray, rows):
     """The ABOVE-budget dedup path (partitioned join + tie pass) must
     be byte-identical to the oracle too — the round-2 divergence
     regime.  Forced by dropping the broadcast budget to 0."""
-    import ray.data
-
     from document_extractor_ray import oracle
     from document_extractor_ray.pipelines import extract as _extract
-    from document_extractor_ray.pipelines.extract import build_extraction
+    from document_extractor_ray.pipelines.extract import run_extraction
 
     table = pa.table(
         {
@@ -214,10 +204,7 @@ def test_join_dedup_path_matches_oracle_on_fuzzed_corpora(_ray, rows):
     old = _extract.DEDUP_BROADCAST_LIMIT
     _extract.DEDUP_BROADCAST_LIMIT = 0
     try:
-        got = sorted(
-            build_extraction(ray.data.from_arrow(table), cfg).take_all(),
-            key=canon,
-        )
+        got = sorted(run_extraction(table, cfg).take_all(), key=canon)
     finally:
         _extract.DEDUP_BROADCAST_LIMIT = old
     assert len(got) == len(want), (len(got), len(want))

@@ -228,20 +228,17 @@ def test_dedup_join_path_breaks_same_ts_ties_like_oracle(ray_session):
     assert got_j0 == want
 
 
-def test_fused_plan_matches_classic_plan(ray_session, tmp_path):
-    """run_extraction(path) takes the fused read+extract plan (row
-    groups read inside the extraction task); its output must be
-    row-identical to the classic Dataset plan, including the dedup
-    winner filter and deterministic ordering."""
+def test_fragment_plan_matches_dataset_plan_and_oracle(ray_session, tmp_path):
+    """run_extraction(path) reads row groups inside the extraction
+    tasks; run_extraction(pa.Table) runs extract_pages over the
+    Dataset's blocks.  Both must be row-identical to the sequential
+    oracle, including the dedup winner filter and deterministic
+    ordering."""
     import pyarrow.parquet as pq
-    import ray.data
 
-    from document_extractor_ray import fixtures
+    from document_extractor_ray import fixtures, oracle
     from document_extractor_ray.config import DEFAULT_CONFIG
-    from document_extractor_ray.pipelines.extract import (
-        build_extraction,
-        run_extraction,
-    )
+    from document_extractor_ray.pipelines.extract import run_extraction
 
     base = fixtures.make_pages_table(250, seed=13)
     # plant extra duplicated urls with later timestamps (losers)
@@ -255,13 +252,16 @@ def test_fused_plan_matches_classic_plan(ray_session, tmp_path):
     pq.write_table(corpus, path, row_group_size=64)
 
     cfg = DEFAULT_CONFIG  # dedup=True, deterministic_order=True
-    fused = run_extraction(path, cfg).take_all()
-    classic = build_extraction(ray.data.from_arrow(corpus), cfg).take_all()
+    from_path = run_extraction(path, cfg).take_all()
+    from_table = run_extraction(corpus, cfg).take_all()
+    want = oracle.run_oracle(corpus, cfg)["final"].to_pylist()
 
-    assert len(fused) == len(classic)
+    assert len(from_path) == len(from_table) == len(want)
     key = lambda r: (r["url"], r.get("page", 0))
-    for f, c in zip(sorted(fused, key=key), sorted(classic, key=key)):
-        assert f == c
+    for f, t, w in zip(
+        sorted(from_path, key=key), sorted(from_table, key=key), sorted(want, key=key)
+    ):
+        assert f == t == w
 
 
 def test_fused_plan_quarantines_corrupt_fragment(ray_session, tmp_path):
@@ -500,17 +500,19 @@ def test_ipc_source_row_identity(ray_session, tmp_path):
     assert canon(a.take_all()) == canon(b.take_all())
 
 
-def test_fused_plan_rejects_coarse_row_groups(ray_session, tmp_path):
-    """A big file with huge row groups must fall back to the classic
-    plan (the fused plan's parallelism is bounded by fragment count —
-    a 16-group 2M-page file capped the pipeline at 16 tasks); tiny
-    inputs stay fused regardless of grouping."""
+def test_fragment_plan_rejects_coarse_row_groups(ray_session, tmp_path, monkeypatch):
+    """A big file with huge row groups must run on the Dataset plan
+    (the fragment plan's parallelism is bounded by fragment count — a
+    16-group 2M-page file capped the pipeline at 16 tasks); tiny inputs
+    stay on fragments regardless of grouping."""
     import pyarrow.parquet as pq
 
     from document_extractor_ray import fixtures
+    from document_extractor_ray.pipelines import extract
     from document_extractor_ray.pipelines.extract import (
         FUSED_ROWS_PER_TASK,
-        build_extraction_fused,
+        _needs_dataset_plan,
+        page_fragments,
         run_extraction,
     )
 
@@ -519,24 +521,28 @@ def test_fused_plan_rejects_coarse_row_groups(ray_session, tmp_path):
     # one giant row group; fake its scale by row count > FUSED_ROWS_PER_TASK
     big = pa.concat_tables([pages] * (FUSED_ROWS_PER_TASK // 300 + 2))
     pq.write_table(big, coarse, row_group_size=big.num_rows)
-    assert build_extraction_fused(coarse, DEFAULT_CONFIG) is None
+    assert _needs_dataset_plan(*page_fragments(coarse))
 
     fine = str(tmp_path / "fine.parquet")
-    pq.write_table(pages, fine, row_group_size=64)  # tiny input: fused
-    assert build_extraction_fused(fine, DEFAULT_CONFIG) is not None
+    pq.write_table(pages, fine, row_group_size=64)  # tiny input: fragments
+    assert not _needs_dataset_plan(*page_fragments(fine))
 
-    # and the fallback path still produces identical rows
+    # and the Dataset plan still produces identical rows
     def canon(rows):
         return sorted(
             ({k: r[k] for k in sorted(r)} for r in rows),
             key=lambda r: str(r["url"]),
         )
 
+    b = run_extraction(fine, DEFAULT_CONFIG).take_all()
+    # a one-group file counts as coarse once the per-task row budget
+    # is below its size (the check runs on the driver)
+    monkeypatch.setattr(extract, "FUSED_ROWS_PER_TASK", 100)
     coarse_small = str(tmp_path / "coarse_small.parquet")
     pq.write_table(pages, coarse_small, row_group_size=pages.num_rows)
-    a = run_extraction(coarse_small, DEFAULT_CONFIG)
-    b = run_extraction(fine, DEFAULT_CONFIG)
-    assert canon(a.take_all()) == canon(b.take_all())
+    assert _needs_dataset_plan(*page_fragments(coarse_small))
+    a = run_extraction(coarse_small, DEFAULT_CONFIG).take_all()
+    assert canon(a) == canon(b)
 
 
 def test_metrics_table_counts(ray_session, small_corpus):

@@ -66,15 +66,57 @@ def test_warc_truncated_fails_loudly():
         list(warc.iter_warc_records(io.BytesIO(blob)))
 
 
+def test_warc_read_streams_bounded_blocks(tmp_path, monkeypatch):
+    """One WARC file yields a table per WARC_BLOCK_BYTES of payload, and
+    the blocks together hold exactly the whole-file rows."""
+    from document_extractor_ray import fixtures
+    from document_extractor_ray.sources import warc
+
+    pages = fixtures.make_pages_table(80, seed=5)
+    path = str(tmp_path / "fx.warc.gz")
+    warc.write_warc_fixture(pages, path)
+    whole = list(warc.warc_page_tables(path))
+    assert len(whole) == 1
+
+    budget = 4096
+    monkeypatch.setattr(warc, "WARC_BLOCK_BYTES", budget)
+    blocks = list(warc.warc_page_tables(path))
+    assert len(blocks) > 1
+    assert pa.concat_tables(blocks).equals(whole[0])
+    biggest = max(len(h) for h in whole[0]["html"].to_pylist())
+    for b in blocks:
+        assert sum(len(h) for h in b["html"].to_pylist()) < budget + biggest
+
+
 def test_warc_pipeline_parity_with_parquet(ray_session, tmp_path):
     """Extraction over read_pages_warc must be row-identical to the
-    parquet source over the same corpus (with text nulled on both —
-    a raw crawl has no text column)."""
-    from document_extractor_ray import fixtures
+    parquet source and to the sequential oracle over the same corpus
+    (with text nulled on both — a raw crawl has no text column).  The
+    corpus carries day-later re-crawls and same-timestamp tie captures,
+    so the WARC Dataset runs dedup_first's tie pass."""
+    from document_extractor_ray import fixtures, oracle
     from document_extractor_ray.pipelines.extract import run_extraction
     from document_extractor_ray.sources import warc
 
-    pages = _null_text(fixtures.make_pages_table(120, seed=9))
+    base = _null_text(fixtures.make_pages_table(120, seed=9))
+    html_rows = [
+        i
+        for i, h in enumerate(base["html"].to_pylist())
+        if h and h.startswith(b"<!DOCTYPE")
+    ]
+    ts_i = base.schema.get_field_index("warc_ts")
+    html_i = base.schema.get_field_index("html")
+    # re-crawls a day later with other pages' html: dedup must drop them
+    recrawl = base.take(html_rows[0:8])
+    recrawl = recrawl.set_column(
+        ts_i, "warc_ts",
+        pc.add(recrawl["warc_ts"], pa.scalar(86_400_000_000, pa.duration("us"))),
+    ).set_column(html_i, "html", base.take(html_rows[8:16])["html"])
+    # same url, same timestamp, different html: the content hash decides
+    ties = base.take(html_rows[16:20]).set_column(
+        html_i, "html", base.take(html_rows[20:24])["html"]
+    )
+    pages = pa.concat_tables([base, recrawl, ties])
     pq_path = str(tmp_path / "pages.parquet")
     pq.write_table(pages, pq_path)
     w1 = str(tmp_path / "a.warc")
@@ -83,15 +125,16 @@ def test_warc_pipeline_parity_with_parquet(ray_session, tmp_path):
     warc.write_warc_fixture(pages.slice(0, half), w1)
     warc.write_warc_fixture(pages.slice(half), w2)
 
-    def canon(ds):
-        return sorted(
-            ({k: r[k] for k in sorted(r)} for r in ds.take_all()),
-            key=lambda r: str(r["url"]),
-        )
+    def canon(rows):
+        return sorted(rows, key=lambda r: repr(sorted(r.items())))
 
-    a = canon(run_extraction(pq_path, DEFAULT_CONFIG))
+    a = canon(run_extraction(pq_path, DEFAULT_CONFIG).take_all())
     b = canon(
-        run_extraction(warc.read_pages_warc([w1, w2]), DEFAULT_CONFIG)
+        run_extraction(warc.read_pages_warc([w1, w2]), DEFAULT_CONFIG).take_all()
     )
-    assert a == b
+    want = canon(oracle.run_oracle(pages, DEFAULT_CONFIG)["final"].to_pylist())
+    assert a == b == want
     assert len(a) > 100
+    # one capture per re-crawled or tied url survives
+    for u in recrawl["url"].to_pylist() + ties["url"].to_pylist():
+        assert sum(r["url"] == u for r in a) == 1

@@ -5,9 +5,9 @@ Builds two 2M-page corpora — uniform urls vs 25% of rows sharing ONE
 url with distinct warc_ts (a re-crawl storm) — and times the
 dedup-first flagship on both, A/B/A/B in one process.  Writes both
 files with the fixture default 512-row groups so the measurement is
-not confounded by the fused plan's fragment-count parallelism bound
-(the step-30 discovery; build_extraction_fused falls back to the
-classic plan below 2 fragments/CPU).
+not confounded by the fragment plan's fragment-count parallelism bound
+(the step-30 discovery; run_extraction switches parquet inputs to the
+Dataset plan below 2 fragments/CPU).
 
 Usage: python tools/skew_experiment.py [n_rows]
 """
