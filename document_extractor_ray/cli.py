@@ -21,12 +21,13 @@ import os
 import sys
 
 
-def _ray_session(num_cpus: int):
-    import os
-
+def _ray_session(num_cpus: int) -> bool:
+    """Connect to Ray (or start a local session) unless the caller
+    already has one; True when this call started the session."""
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         # RAY_ADDRESS=local here (sandbox); under `ray job submit` the
         # job env points at the running cluster and num_cpus is
         # ignored by the connect path.
@@ -42,7 +43,7 @@ def _ray_session(num_cpus: int):
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
-    return ray
+    return started
 
 
 def cmd_extract(args) -> int:
@@ -52,7 +53,7 @@ def cmd_extract(args) -> int:
         print("extract --resumable takes parquet inputs only; run WARC "
               "inputs without --resumable", file=sys.stderr)
         return 2
-    ray = _ray_session(args.num_cpus)
+    started = _ray_session(args.num_cpus)
     from document_extractor_ray.config import PipelineConfig
     from document_extractor_ray.pipelines import outputs, resume
     from document_extractor_ray.pipelines.extract import run_extraction
@@ -78,8 +79,8 @@ def cmd_extract(args) -> int:
         final = run_extraction(source, cfg)
         paths = outputs.write_outputs(final, args.out, cfg)
         if args.combined_text or args.reference_layout:
+            import glob
             import pyarrow.parquet as pq
-            import glob, os
 
             files = sorted(glob.glob(os.path.join(paths["final"], "**", "*.parquet"),
                                      recursive=True))
@@ -94,7 +95,10 @@ def cmd_extract(args) -> int:
                 outputs.write_combined_text(table, args.out, cfg)
                 outputs.write_index_csv(table, f"{args.out}/{cfg.run_id}.csv", cfg)
         print(json.dumps({"out": paths}))
-    ray.shutdown()
+    if started:  # an in-process caller's session stays up
+        import ray
+
+        ray.shutdown()
     return 0
 
 

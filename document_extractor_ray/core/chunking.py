@@ -22,16 +22,19 @@ DOCUMENT_BREAK_BYTES = len(DOCUMENT_BREAK.encode("utf-8"))
 
 
 def assign_chunks(
-    doc_sizes: Iterable[int], max_bytes: int = 3_000_000
+    doc_sizes: Iterable[int],
+    max_bytes: int = 3_000_000,
+    start: Tuple[int, int, bool] = (1, 0, True),
 ) -> Iterator[int]:
     """Yield a 1-based chunk id per document (in input order).
 
     doc_sizes are UTF-8 byte lengths of each document's text block
     (excluding the break marker, which is accounted exactly as the
-    reference does via file size)."""
-    chunk_id = 1
-    current_size = 0
-    first_in_chunk = True
+    reference does via file size).  ``start`` is the state of the
+    current chunk — (chunk id, bytes already in it, whether it is
+    empty) — so a rerun continues the last chunk of an earlier run
+    (output_writer.py:86-100)."""
+    chunk_id, current_size, first_in_chunk = start
     for doc_bytes in doc_sizes:
         if not first_in_chunk and current_size + doc_bytes > max_bytes:
             chunk_id += 1

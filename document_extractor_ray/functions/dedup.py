@@ -1249,11 +1249,12 @@ def _propagate_labels(edges_ds: "ray.data.Dataset", max_rounds: int = 16):
     takes a grouped min; LSH dup components are near-cliques (diameter
     2-3), so convergence is a handful of rounds.  Labels are
     re-materialized per round to truncate lineage."""
-    from ray.data.aggregate import Min
+    from document_extractor_ray.functions.bucketing import (
+        bucketed_agg,
+        n_shuffle_parts,
+    )
 
-    n_parts = 32
-    if ray.is_initialized():
-        n_parts = max(8, int(ray.cluster_resources().get("CPU", 8)))
+    n_parts = n_shuffle_parts()
 
     # settle the edge list first: the bucketed pair stages can emit
     # zero-row blocks whose empty schema kills the per-round joins
@@ -1286,8 +1287,6 @@ def _propagate_labels(edges_ds: "ray.data.Dataset", max_rounds: int = 16):
             )
         return ray.data.from_arrow_refs(refs)
 
-    from document_extractor_ray.functions.bucketing import bucketed_agg
-
     labels = settle(
         bucketed_agg(
             edges_ds.map_batches(ends, batch_format="pyarrow"),
@@ -1306,7 +1305,9 @@ def _propagate_labels(edges_ds: "ray.data.Dataset", max_rounds: int = 16):
         # Each edge (a,b) sends label(a) to b and label(b) to a; the
         # two directions are separable, so two edges x labels joins
         # produce the same message multiset as the old edges x labels
-        # x labels chain.
+        # x labels chain.  Both joins materialize before the union and
+        # the aggregate: left lazy, the two joins plus the aggregate's
+        # exchange form one DAG that deadlocks at small CPU budgets.
         la = edges_ds.join(
             labels.map_batches(
                 lambda t: t.rename_columns(["doc_a", "label_a"]),
@@ -1315,7 +1316,7 @@ def _propagate_labels(edges_ds: "ray.data.Dataset", max_rounds: int = 16):
             join_type="inner",
             num_partitions=n_parts,
             on=("doc_a",),
-        )
+        ).materialize()
         lb = edges_ds.join(
             labels.map_batches(
                 lambda t: t.rename_columns(["doc_b", "label_b"]),
@@ -1324,7 +1325,7 @@ def _propagate_labels(edges_ds: "ray.data.Dataset", max_rounds: int = 16):
             join_type="inner",
             num_partitions=n_parts,
             on=("doc_b",),
-        )
+        ).materialize()
 
         def msgs_to_b(t: pa.Table) -> pa.Table:
             return pa.table({"node": t["doc_b"], "label": t["label_a"]})
@@ -1423,10 +1424,10 @@ def near_dup_clusters(
             attach, batch_format="pyarrow"
         ).sort("doc_id")
 
+    from document_extractor_ray.functions.bucketing import n_shuffle_parts
+
     labels = _propagate_labels(pairs)
-    n_parts = 32
-    if ray.is_initialized():
-        n_parts = max(8, int(ray.cluster_resources().get("CPU", 8)))
+    n_parts = n_shuffle_parts()
     joined = ds.select_columns(["doc_id"]).join(
         labels.map_batches(
             lambda t: t.rename_columns(["doc_id", "cluster_id"]),
@@ -1742,9 +1743,12 @@ def dup_shingle_stats(
         _, tbl = doc_rows(t)
         return tbl
 
-    n_parts = 32
-    if ray.is_initialized():
-        n_parts = max(8, int(ray.cluster_resources().get("CPU", 8)))
+    from document_extractor_ray.functions.bucketing import (
+        bucketed_agg,
+        n_shuffle_parts,
+    )
+
+    n_parts = n_shuffle_parts()
     # settle: the materialized aggregate may carry empty blocks with an
     # EMPTY schema that break the pyarrow join (see _propagate_labels)
     live = [r for r in dups.to_arrow_refs() if ray.get(r).num_rows > 0]
@@ -1767,8 +1771,6 @@ def dup_shingle_stats(
             batch_format="pyarrow",
         )
     )
-    from document_extractor_ray.functions.bucketing import bucketed_agg
-
     agg = bucketed_agg(
         ds.map_batches(totals_part, batch_format="pyarrow").union(hits),
         ["doc_id"],
@@ -1950,9 +1952,9 @@ def dup_ngram_scrub(
             }
         )
 
-    n_parts = 32
-    if ray.is_initialized():
-        n_parts = max(8, int(ray.cluster_resources().get("CPU", 8)))
+    from document_extractor_ray.functions import bucketing
+
+    n_parts = bucketing.n_shuffle_parts()
     # settle: drop empty-schema blocks the aggregate may emit (Ray 2.49
     # trap, see _propagate_labels) before feeding a join
     live = [r for r in dups.to_arrow_refs() if ray.get(r).num_rows > 0]
@@ -1972,8 +1974,6 @@ def dup_ngram_scrub(
                 "starts_blob": pa.array([ss.tobytes()], pa.binary()),
             }
         )
-
-    from document_extractor_ray.functions import bucketing
 
     # per-doc packing without a Python call per doc: bucketed groups
     # (min_rows=1 — every doc with >= 1 hit start needs its blob)

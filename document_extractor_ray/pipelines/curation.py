@@ -202,6 +202,14 @@ def _clean_scrub(t: pa.Table) -> pa.Table:
     )
 
 
+def _loser_ids(losers: "ray.data.Dataset") -> np.ndarray:
+    """The ``doc_id`` column of a loser Dataset as one int64 array."""
+    batches = losers.iter_batches(batch_format="pyarrow")
+    return np.concatenate(
+        [np.empty(0, np.int64)] + [b["doc_id"].to_numpy() for b in batches]
+    )
+
+
 def _range_size(n_docs: int, docs_per_range: int = DOCS_PER_RANGE) -> int:
     n_ranges = max(1, n_docs // docs_per_range)
     return max(1, (1 << 63) // n_ranges)
@@ -229,6 +237,7 @@ def run_curation(
         PACK_WINDOW,
         pack_sequences,
     )
+    from document_extractor_ray.pipelines import outputs
     from document_extractor_ray.pipelines.extract import run_extraction
     from document_extractor_ray.sources import read_parquet_clean
     from document_extractor_ray import state
@@ -242,16 +251,20 @@ def run_curation(
     # url — an all-to-all shuffle of the whole extracted corpus that
     # spilled ~200 GB at 10M docs.  The chain never needs it: every
     # stage keys on doc_id, loser sets are order-free, and the packed
-    # output is example_id-sorted at the end.
+    # output is example_id-sorted at the end.  commit_dir: a run killed
+    # mid-write leaves no partial docs/ for the rerun to append to.
     t0 = time.monotonic()
     if not os.path.exists(os.path.join(docs_dir, "_DONE")):
-        final = run_extraction(
-            pages_source, cfg.with_(deterministic_order=False)
-        )
-        docs = final.map_batches(_clean_scrub, batch_format="pyarrow")
-        os.makedirs(docs_dir, exist_ok=True)
-        docs.write_parquet(docs_dir)
-        open(os.path.join(docs_dir, "_DONE"), "w").write("ok")
+
+        def write_docs(tmp_dir: str) -> None:
+            final = run_extraction(
+                pages_source, cfg.with_(deterministic_order=False)
+            )
+            docs = final.map_batches(_clean_scrub, batch_format="pyarrow")
+            docs.write_parquet(tmp_dir)
+            open(os.path.join(tmp_dir, "_DONE"), "w").write("ok")
+
+        outputs.commit_dir(docs_dir, write_docs)
     metrics["t_extract_clean"] = time.monotonic() - t0
 
     import pyarrow.parquet as pq
@@ -269,28 +282,10 @@ def run_curation(
 
     # --- phase 2: loser sets (exact + near dup) --------------------------
     t0 = time.monotonic()
-    exact = np.fromiter(
-        (
-            r["doc_id"]
-            for b in exact_dup_losers(docs_ds()).iter_batches(
-                batch_format="pyarrow"
-            )
-            for r in b.to_pylist()
-        ),
-        dtype=np.int64,
-    )
+    exact = _loser_ids(exact_dup_losers(docs_ds()))
     metrics["t_exact_losers"] = time.monotonic() - t0
     t0 = time.monotonic()
-    near = np.fromiter(
-        (
-            r["doc_id"]
-            for b in near_dup_losers(
-                docs_ds(), threshold=threshold, lean=True
-            ).iter_batches(batch_format="pyarrow")
-            for r in b.to_pylist()
-        ),
-        dtype=np.int64,
-    )
+    near = _loser_ids(near_dup_losers(docs_ds(), threshold=threshold, lean=True))
     metrics["t_near_losers"] = time.monotonic() - t0
     drop = np.union1d(exact, near)
     metrics["exact_losers"] = int(exact.size)

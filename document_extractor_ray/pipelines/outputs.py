@@ -4,21 +4,27 @@ Side outputs are *data*, not file moves (SURVEY.md §1.4): quarantine is
 a filtered table, the portfolio manifest is derived from child urls,
 unit rows are an explode — all streaming map_batches projections.
 
-Sinks:
-- ``write_outputs``      : partitioned Parquet (results + side tables)
-- ``write_combined_text``: the ``<run>_all_text_###.txt`` chunked
-  concatenation (output_writer.py:62-116, S7) — an ordered prefix-sum,
-  necessarily sequential, streamed on the driver via iter_batches.
-- ``write_index_csv`` / ``write_legacy_csv``: byte-compatible CSV
-  emitters for the 12-column run index (process_run.py:21-34) and the
-  legacy 6-column page schema (common.py:150-153).
+Sinks — one implementation of each, shared by every caller:
+- ``write_outputs``: partitioned Parquet (results + side tables)
+- ``write_chunks``: the ``<run>_all_text_###.txt`` chunked concatenation
+  (output_writer.py:62-116, S7) over ``core.chunking.assign_chunks`` —
+  an ordered prefix-sum, streamed on the driver; ``write_combined_text``
+  adds rerun continuation, ``reference_layout`` a fresh start.
+- ``RUN_CSV_HEADER`` / ``run_csv_row``: the 12-column run index
+  (process_run.py:21-34), written by ``write_index_csv`` and
+  ``reference_layout``; ``write_legacy_csv``: the legacy 6-column page
+  schema (common.py:150-153).
+- ``status_counts``: the run's status counters (process_run.py:197-203)
+  from the ``status`` column of the parquet files just written.
+- ``commit_dir``: tmp dir + atomic rename (resume shards, the curation
+  docs checkpoint).
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from typing import Dict, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -68,21 +74,37 @@ def manifest_dataset(final_ds):
     return final_ds.map_batches(_manifest_from_final, batch_format="pyarrow")
 
 
-def metrics_table(final_ds) -> pa.Table:
-    """Run-level counters (A6: process_run.py:197-203 log lines as
-    data): rows per status.  Settled from non-empty Arrow block refs
-    (hash aggregates can emit empty-schema blocks; CLAUDE.md trap) —
-    no pandas roundtrip."""
-    import ray
+def status_counts(final_dir: str) -> Dict[str, int]:
+    """Rows per status (A6: the process_run.py:197-203 counter log as
+    data) in the parquet files under ``final_dir``, keyed in status
+    order.  Reads only the ``status`` column, with pyarrow on the
+    driver: no Ray job, no second pass over the written rows."""
+    import pyarrow.dataset as pads
 
-    out = final_ds.groupby("status").count()
-    tables = [t for t in map(ray.get, out.to_arrow_refs()) if t.num_rows]
-    if not tables:
-        return pa.table(
-            {"status": pa.array([], pa.string()), "count()": pa.array([], pa.int64())}
-        )
-    t = pa.concat_tables(tables)
-    return t.sort_by("status")
+    if not os.path.isdir(final_dir):
+        return {}
+    ds = pads.dataset(final_dir, format="parquet")
+    if "status" not in ds.schema.names:
+        return {}  # nothing written
+    vc = pc.value_counts(ds.to_table(columns=["status"])["status"]).to_pylist()
+    return dict(sorted((v["values"], v["counts"]) for v in vc))
+
+
+def commit_dir(final_dir: str, write: Callable[[str], object]):
+    """Write a directory all-or-nothing and return ``write``'s result:
+    ``write(tmp)`` fills a fresh ``<final_dir>.tmp`` (clearing a killed
+    run's), then one rename publishes it.  Readers see no ``final_dir``
+    or a complete one, and a rerun never adds to a killed run's files
+    (Ray's write_parquet appends to an existing directory)."""
+    import shutil
+
+    tmp = final_dir + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    out = write(tmp)
+    shutil.rmtree(final_dir, ignore_errors=True)
+    os.replace(tmp, final_dir)
+    return out
 
 
 def write_outputs(
@@ -111,15 +133,62 @@ def write_outputs(
 # Sequential driver-side sinks (ordered semantics, small outputs)
 # ---------------------------------------------------------------------------
 
+def iter_tables(final_ds_or_table) -> Iterator[pa.Table]:
+    """A final table as-is, or a Dataset's batches in order."""
+    if isinstance(final_ds_or_table, pa.Table):
+        yield final_ds_or_table
+    else:
+        yield from final_ds_or_table.iter_batches(
+            batch_size=1024, batch_format="pyarrow"
+        )
+
+
+def write_chunks(
+    texts: Iterable[str],
+    out_dir: str,
+    cfg: PipelineConfig = DEFAULT_CONFIG,
+    resume: Optional[Tuple[str, int, int]] = None,
+) -> List[str]:
+    """Append each non-empty text block plus DOCUMENT_BREAK, in order,
+    to the ``<run>_all_text_###.txt`` chunk ``assign_chunks`` gives it
+    (output_writer.py:213-228).  ``resume`` is (path, chunk id, size)
+    of an existing last chunk to continue; None starts at chunk 1.
+    Returns the chunk files written, in order."""
+    import itertools
+
+    brk = DOCUMENT_BREAK.encode("utf-8")
+    sized, blocks = itertools.tee(t.encode("utf-8") for t in texts if t)
+    start = (1, 0, True) if resume is None else (resume[1], resume[2], False)
+    ids = assign_chunks((len(b) for b in sized), cfg.max_combined_bytes, start)
+    written: List[str] = []
+    fh, open_id = None, None
+    try:
+        for cid, data in zip(ids, blocks):
+            if cid != open_id:
+                if fh:
+                    fh.close()
+                if resume is not None and cid == resume[1]:
+                    path, mode = resume[0], "ab"
+                else:
+                    path = os.path.join(out_dir, chunk_file_name(cfg.run_id, cid))
+                    mode = "wb"
+                fh = open(path, mode)
+                written.append(path)
+                open_id = cid
+            fh.write(data)
+            fh.write(brk)
+    finally:
+        if fh:
+            fh.close()
+    return written
+
+
 def write_combined_text(
     final_ds_or_table, out_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG
 ) -> list:
-    """Combined chunked text files, byte-faithful to
-    output_writer.py:213-228: doc block + break marker appended in url
-    order, new chunk when the next block would overflow
-    cfg.max_combined_bytes.  The chunk assignment is a sequential
-    prefix-sum (A7) so it streams on the driver — only
-    (url, extracted_text) crosses, already sorted.
+    """Combined chunked text files (``write_chunks``) over the
+    ``extracted_text`` column in row order; no-text docs never reach
+    the combined file.
 
     Rerun continuation (output_writer.py:86-100): when the output dir
     already holds chunk files for this run, numbering and the size
@@ -127,29 +196,12 @@ def write_combined_text(
     size counts against the budget, exactly like the reference's
     stat-based fit check) — two sequential runs into one dir produce
     the same chunk set as one combined run."""
-    import glob as _glob
+    import glob
 
     os.makedirs(out_dir, exist_ok=True)
-
-    def batches():
-        if isinstance(final_ds_or_table, pa.Table):
-            yield final_ds_or_table
-        else:
-            yield from final_ds_or_table.iter_batches(
-                batch_size=1024, batch_format="pyarrow"
-            )
-
-    written = []
-    chunk_gen_state = {"chunk_id": 1, "current": 0, "first": True}
-    resume_path = None
-    existing = sorted(
-        _glob.glob(
-            os.path.join(
-                _glob.escape(out_dir),
-                f"{_glob.escape(cfg.run_id)}_all_text_*.txt",
-            )
-        )
-    )
+    resume = None
+    pattern = f"{glob.escape(cfg.run_id)}_all_text_*.txt"
+    existing = sorted(glob.glob(os.path.join(glob.escape(out_dir), pattern)))
     if existing:
         last = existing[-1]
         stem = os.path.splitext(os.path.basename(last))[0]
@@ -157,91 +209,60 @@ def write_combined_text(
             cid = int(stem.rsplit("_", 1)[-1])
         except ValueError:
             cid = len(existing)  # reference fallback: count-based
-        chunk_gen_state = {
-            "chunk_id": cid,
-            "current": os.path.getsize(last),
-            "first": False,
-        }
-        resume_path = last
-    fh = None
-    try:
-        for batch in batches():
-            texts = batch["extracted_text"].to_pylist()
-            for text in texts:
-                if not text:
-                    continue  # no-text docs never reach the combined file
-                doc_bytes = len(text.encode("utf-8"))
-                st = chunk_gen_state
-                if not st["first"] and st["current"] + doc_bytes > cfg.max_combined_bytes:
-                    st["chunk_id"] += 1
-                    st["current"] = 0
-                    st["first"] = True
-                if st["first"]:
-                    if fh:
-                        fh.close()
-                    path = os.path.join(
-                        out_dir, chunk_file_name(cfg.run_id, st["chunk_id"])
-                    )
-                    fh = open(path, "w", encoding="utf-8", newline="")
-                    written.append(path)
-                elif fh is None:
-                    # resuming into the last existing chunk file
-                    fh = open(resume_path, "a", encoding="utf-8", newline="")
-                    written.append(resume_path)
-                fh.write(text)
-                fh.write(DOCUMENT_BREAK)
-                st["current"] += doc_bytes + len(DOCUMENT_BREAK.encode("utf-8"))
-                st["first"] = False
-    finally:
-        if fh:
-            fh.close()
-    return written
+        resume = (last, cid, os.path.getsize(last))
+    texts = (
+        text
+        for t in iter_tables(final_ds_or_table)
+        for text in t["extracted_text"].to_pylist()
+    )
+    return write_chunks(texts, out_dir, cfg, resume)
+
+
+RUN_CSV_HEADER = [
+    "original_file", "original_name", "relative_path", "txt_relative_path",
+    "pages", "processed_at", "pass_used", "score", "status", "used_ocr",
+    "run_id", "notes",
+]
+
+
+def run_csv_writer(f):
+    """Write the run-CSV header to ``f`` with a plain writer and return
+    the QUOTE_ALL writer for its rows (process_run._write_header_if_needed
+    + output_writer row quoting)."""
+    csv.writer(f).writerow(RUN_CSV_HEADER)
+    return csv.writer(f, quoting=csv.QUOTE_ALL)
+
+
+def run_csv_row(row: dict, cfg: PipelineConfig = DEFAULT_CONFIG) -> list:
+    """One run-CSV row from a final/results row (output_writer.py:230-257
+    formatting: score '%.2f', used_ocr lowered bool)."""
+    from document_extractor_ray.core.blocks import url_name, url_relative_path
+
+    return [
+        row["url"],
+        url_name(row["url"]),
+        url_relative_path(row["url"], cfg.input_root),
+        row["txt_relative_path"],
+        row["n_units"],
+        row["processed_at"],
+        row["pass_used"],
+        f"{float(row['score']):.2f}" if row["score"] is not None else "",
+        row["status"],
+        str(bool(row["used_ocr"])).lower(),
+        row["run_id"],
+        row["notes"] or "",
+    ]
 
 
 def write_index_csv(
     final_table: pa.Table, csv_path: str, cfg: PipelineConfig = DEFAULT_CONFIG
 ) -> None:
-    """Byte-compatible 12-column run CSV (process_run.py:21-34 header,
-    output_writer.py:230-257 row formatting: score '%.2f', used_ocr
-    lowered bool, QUOTE_ALL)."""
-    header = [
-        "original_file",
-        "original_name",
-        "relative_path",
-        "txt_relative_path",
-        "pages",
-        "processed_at",
-        "pass_used",
-        "score",
-        "status",
-        "used_ocr",
-        "run_id",
-        "notes",
-    ]
-    from document_extractor_ray.core.blocks import url_name, url_relative_path
-
-    t = records.project_results(final_table)
+    """Byte-compatible 12-column run CSV: one ``run_csv_row`` per
+    document whose status gets an index row."""
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        qw = csv.writer(f, quoting=csv.QUOTE_ALL)
-        for row in t.to_pylist():
-            qw.writerow(
-                [
-                    row["url"],
-                    url_name(row["url"]),
-                    url_relative_path(row["url"], cfg.input_root),
-                    row["txt_relative_path"],
-                    row["n_units"],
-                    row["processed_at"],
-                    row["pass_used"],
-                    f"{float(row['score']):.2f}" if row["score"] is not None else "",
-                    row["status"],
-                    str(bool(row["used_ocr"])).lower(),
-                    row["run_id"],
-                    row["notes"] or "",
-                ]
-            )
+        w = run_csv_writer(f)
+        for row in records.project_results(final_table).to_pylist():
+            w.writerow(run_csv_row(row, cfg))
 
 
 LEGACY_CSV_HEADER = ["filename", "page", "text", "method", "used_ocr", "reliability"]
@@ -265,8 +286,6 @@ class LegacyCsvWriter:
     """
 
     def __init__(self, path: str, logger=None):
-        import os
-
         self.log = logger
         self.path = path
         parent = os.path.dirname(path)
@@ -347,8 +366,6 @@ def write_training_jsonl(final_ds, out_dir: str) -> str:
     path = os.path.join(out_dir, "training_jsonl")
 
     def ok_rows(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         ok = t.filter(pc.equal(t["status"], "OK"))
         return pa.table(
             {

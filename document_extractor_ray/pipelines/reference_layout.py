@@ -15,7 +15,7 @@ downstream tooling):
 Driver-side sequential sink over the sorted final table — ordered
 semantics (chunk numbering, append order) make this inherently a
 single pass; it streams via iter_batches and only ever holds one batch
-of documents in memory."""
+of documents in memory.  Run CSV and chunks use the ``outputs`` writers."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import Union
 import pyarrow as pa
 
 from document_extractor_ray.config import DEFAULT_CONFIG, PipelineConfig
-from document_extractor_ray.core.blocks import url_name, url_relative_path
+from document_extractor_ray.core.blocks import url_relative_path
 from document_extractor_ray.core.records import RESULT_STATUSES
 
 
@@ -36,22 +36,15 @@ def write_reference_layout(
     cfg: PipelineConfig = DEFAULT_CONFIG,
 ) -> dict:
     """final table/Dataset (sorted by url) -> reference run layout."""
+    from document_extractor_ray.pipelines import outputs
+
     os.makedirs(out_dir, exist_ok=True)
     os.makedirs(os.path.join(out_dir, "Mandatory Review"), exist_ok=True)
 
     csv_path = os.path.join(out_dir, f"{cfg.run_id}.csv")
     manifest_path = os.path.join(out_dir, "review_manifest.csv")
 
-    def batches():
-        if isinstance(final_sorted, pa.Table):
-            yield final_sorted
-        else:
-            yield from final_sorted.iter_batches(batch_size=512, batch_format="pyarrow")
-
     n_txt = 0
-    combined_files = []
-    chunk_state = {"chunk_id": 1, "current": 0, "first": True}
-    combined_fh = None
     manifest_started = False
     quarantined_names: dict = {}
 
@@ -71,96 +64,39 @@ def write_reference_layout(
             return f"{base}_{k}.{ext}"
         return f"{rel}_{k}"
 
-    from document_extractor_ray.core.chunking import DOCUMENT_BREAK, chunk_file_name
+    def text_blocks(index):
+        """Write every row's manifest entry, txt file and run-CSV row;
+        yield its text block for the combined chunks."""
+        nonlocal n_txt, manifest_started
+        for batch in outputs.iter_tables(final_sorted):
+            for row in batch.to_pylist():
+                # review manifest for every quarantined doc
+                if row["quarantine"]:
+                    new = not manifest_started and not os.path.exists(manifest_path)
+                    with open(manifest_path, "a", newline="", encoding="utf-8") as fm:
+                        w = csv.writer(fm)
+                        if new:
+                            w.writerow(["filename", "reason"])
+                        rel = url_relative_path(row["url"], cfg.input_root)
+                        w.writerow([disambiguate(rel), row["reason"]])
+                    manifest_started = True
+                if row["status"] not in RESULT_STATUSES:
+                    continue  # NOISE / MANDATORY_REVIEW / LOW_DISK: no index row
+                block = row["extracted_text"]
+                txt_rel = row["txt_relative_path"]
+                if block and txt_rel:
+                    txt_path = os.path.join(out_dir, "txt", txt_rel)
+                    os.makedirs(os.path.dirname(txt_path), exist_ok=True)
+                    with open(txt_path, "w", encoding="utf-8", newline="") as f:
+                        f.write(block)
+                    n_txt += 1
+                    yield block
+                index.writerow(outputs.run_csv_row(row, cfg))
 
     with open(csv_path, "w", newline="", encoding="utf-8") as fcsv:
-        # header via plain writer, rows via QUOTE_ALL — mirroring
-        # process_run._write_header_if_needed + output_writer row quoting
-        csv.writer(fcsv).writerow(
-            [
-                "original_file",
-                "original_name",
-                "relative_path",
-                "txt_relative_path",
-                "pages",
-                "processed_at",
-                "pass_used",
-                "score",
-                "status",
-                "used_ocr",
-                "run_id",
-                "notes",
-            ]
+        combined_files = outputs.write_chunks(
+            text_blocks(outputs.run_csv_writer(fcsv)), out_dir, cfg
         )
-        qw = csv.writer(fcsv, quoting=csv.QUOTE_ALL)
-        try:
-            for batch in batches():
-                for row in batch.to_pylist():
-                    status = row["status"]
-                    # review manifest for every quarantined doc
-                    if row["quarantine"]:
-                        new = not manifest_started and not os.path.exists(manifest_path)
-                        with open(manifest_path, "a", newline="", encoding="utf-8") as fm:
-                            w = csv.writer(fm)
-                            if new:
-                                w.writerow(["filename", "reason"])
-                            w.writerow(
-                                [
-                                    disambiguate(
-                                        url_relative_path(row["url"], cfg.input_root)
-                                    ),
-                                    row["reason"],
-                                ]
-                            )
-                        manifest_started = True
-                    if status not in RESULT_STATUSES:
-                        continue  # NOISE / MANDATORY_REVIEW / LOW_DISK: no index row
-                    block = row["extracted_text"]
-                    txt_rel = row["txt_relative_path"]
-                    if block and txt_rel:
-                        txt_path = os.path.join(out_dir, "txt", txt_rel)
-                        os.makedirs(os.path.dirname(txt_path), exist_ok=True)
-                        with open(txt_path, "w", encoding="utf-8", newline="") as f:
-                            f.write(block)
-                        n_txt += 1
-                        # combined chunks
-                        doc_bytes = len(block.encode("utf-8"))
-                        st = chunk_state
-                        if not st["first"] and st["current"] + doc_bytes > cfg.max_combined_bytes:
-                            st["chunk_id"] += 1
-                            st["current"] = 0
-                            st["first"] = True
-                        if st["first"]:
-                            if combined_fh:
-                                combined_fh.close()
-                            cpath = os.path.join(
-                                out_dir, chunk_file_name(cfg.run_id, st["chunk_id"])
-                            )
-                            combined_fh = open(cpath, "w", encoding="utf-8", newline="")
-                            combined_files.append(cpath)
-                        combined_fh.write(block)
-                        combined_fh.write(DOCUMENT_BREAK)
-                        st["current"] += doc_bytes + len(DOCUMENT_BREAK.encode("utf-8"))
-                        st["first"] = False
-                    qw.writerow(
-                        [
-                            row["url"],
-                            url_name(row["url"]),
-                            url_relative_path(row["url"], cfg.input_root),
-                            txt_rel,
-                            row["n_units"],
-                            row["processed_at"],
-                            row["pass_used"],
-                            f"{float(row['score']):.2f}" if row["score"] is not None else "",
-                            status,
-                            str(bool(row["used_ocr"])).lower(),
-                            cfg.run_id,
-                            row["notes"] or "",
-                        ]
-                    )
-        finally:
-            if combined_fh:
-                combined_fh.close()
 
     return {
         "csv": csv_path,

@@ -8,9 +8,10 @@ resume is re-expressed as **shard-level commit**:
 - the input file list is split into shards (groups of parquet files /
   row ranges);
 - each shard runs the full extraction pipeline and writes its outputs
-  under ``out/shard=K/`` via tmp-dir + atomic rename;
-- a lineage record (input files, row counts, per-status counts,
-  extractor version, wall time) is committed as ``lineage/shard=K.json``
+  under ``out/shard=K/`` via ``outputs.commit_dir`` (tmp dir + rename);
+- a lineage record (input files, row counts, per-status counts read
+  from the written files by ``outputs.status_counts``, extractor
+  version, wall time) is committed as ``lineage/shard=K.json``
   (tmp + rename) only after the shard's data is fully on disk;
 - on restart, shards with a committed lineage record are skipped — the
   Ray analogue of delete-on-success.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -71,30 +71,21 @@ def run_shard(
     cfg: PipelineConfig = DEFAULT_CONFIG,
 ) -> dict:
     """Process one shard end-to-end and commit atomically."""
-    shard_dir = os.path.join(out_dir, f"shard={shard_id}")
-    tmp_dir = shard_dir + ".tmp"
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    shutil.rmtree(shard_dir, ignore_errors=True)  # partial from a killed run
-    os.makedirs(tmp_dir, exist_ok=True)
+    from document_extractor_ray.pipelines import outputs
+
+    def write(tmp_dir: str) -> Dict[str, int]:
+        # run_extraction on file paths reads row groups inside the
+        # extraction tasks (payloads never enter the object store;
+        # PERF.md step 18).
+        final_dir = os.path.join(tmp_dir, "final")
+        run_extraction(files, cfg).write_parquet(final_dir)
+        # Per-status counters from what was just written (A6 run counters).
+        return outputs.status_counts(final_dir)
 
     t0 = time.perf_counter()
-    # run_extraction on file paths reads row groups inside the
-    # extraction tasks (payloads never enter the object store; PERF.md
-    # step 18).
-    final = run_extraction(files, cfg)
-    final.write_parquet(os.path.join(tmp_dir, "final"))
-
-    # Per-status counters from what was just written (A6 run counters).
-    from document_extractor_ray.sources import read_parquet_clean
-
-    written = read_parquet_clean(os.path.join(tmp_dir, "final"))
-    counts: Dict[str, int] = {}
-    for row in written.groupby("status").count().take_all():
-        counts[row["status"]] = int(row["count()"])
+    counts = outputs.commit_dir(os.path.join(out_dir, f"shard={shard_id}"), write)
     n_rows = int(sum(counts.values()))
     wall = time.perf_counter() - t0
-
-    os.replace(tmp_dir, shard_dir)
 
     # Input row range covered by this shard (FIXTURES.md §3 lineage
     # schema): cumulative row offsets over the deterministic shard plan.

@@ -38,3 +38,21 @@ def test_cli_extract_resumable_rejects_warc(tmp_path, capsys):
     assert rc != 0
     assert "--resumable takes parquet inputs only" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_extract_keeps_callers_ray_session(ray_session, tmp_path, capsys):
+    """An in-process main(["extract", ...]) under a running Ray session
+    writes its outputs and leaves the caller's session up."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from document_extractor_ray import fixtures
+    from document_extractor_ray.cli import main
+
+    pages = str(tmp_path / "pages.parquet")
+    pq.write_table(fixtures.make_pages_table(40, seed=3), pages)
+    out = tmp_path / "out"
+    rc = main(["extract", "--input", pages, "--out", str(out)])
+    assert rc == 0
+    assert list((out / "final").rglob("*.parquet"))
+    assert ray.is_initialized()

@@ -173,3 +173,32 @@ def test_checkpoint_resume_skips_extraction(chain_run):
     # checkpoint hit: no docs file or marker was rewritten or added
     assert checkpoint_state() == before
     assert curation.packed_to_table(r2["packed"]).equals(chain_run["dist"])
+
+
+@pytest.mark.parametrize("leftover", ["docs_without_done", "stray_tmp"])
+def test_rerun_after_killed_checkpoint_write(ray_session, tmp_path, leftover):
+    """A chain killed while writing its docs checkpoint leaves either a
+    docs/ without _DONE or a stray docs.tmp; the rerun must rewrite the
+    checkpoint from scratch, never add to the killed run's files."""
+    import os
+
+    from document_extractor_ray import fixtures
+    from document_extractor_ray.pipelines import curation
+
+    pages = curation.plant_dup_pages(fixtures.make_pages_table(400, seed=7))
+    pages_path = str(tmp_path / "pages.parquet")
+    pq.write_table(pages, pages_path)
+    work = str(tmp_path / "work")
+    curation.run_curation(pages_path, DEFAULT_CONFIG, work_dir=work)
+    docs_dir = os.path.join(work, "docs")
+    if leftover == "docs_without_done":
+        os.remove(os.path.join(docs_dir, "_DONE"))
+    else:
+        shutil.copytree(docs_dir, docs_dir + ".tmp")
+        shutil.rmtree(docs_dir)
+
+    r = curation.run_curation(pages_path, DEFAULT_CONFIG, work_dir=work)
+    assert curation.packed_to_table(r["packed"]).equals(
+        curation.sequential_curation(pages, DEFAULT_CONFIG)
+    )
+    assert not os.path.exists(docs_dir + ".tmp")

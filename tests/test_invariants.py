@@ -264,6 +264,41 @@ def test_fragment_plan_matches_dataset_plan_and_oracle(ray_session, tmp_path):
         assert f == t == w
 
 
+def test_above_budget_dedup_scans_once(ray_session, tmp_path, monkeypatch):
+    """A parquet input above the dedup broadcast budget switches to the
+    Dataset plan; dedup_first reuses run_extraction's winner scan
+    instead of running it again, and the join path still matches the
+    oracle."""
+    import pyarrow.parquet as pq
+
+    from document_extractor_ray import fixtures, oracle
+    from document_extractor_ray.pipelines import extract
+
+    base = fixtures.make_pages_table(200, seed=17)
+    later = base.slice(0, 30).set_column(
+        base.schema.get_field_index("warc_ts"),
+        "warc_ts",
+        pc.add(base.slice(0, 30)["warc_ts"], pa.scalar(5_000_000, pa.duration("us"))),
+    )
+    corpus = pa.concat_tables([base, later])
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(corpus, path, row_group_size=64)
+
+    calls = []
+    scan = extract._dup_winners
+
+    def counted(slim_ds):
+        calls.append(1)
+        return scan(slim_ds)
+
+    monkeypatch.setattr(extract, "DEDUP_BROADCAST_LIMIT", 0)
+    monkeypatch.setattr(extract, "_dup_winners", counted)
+    got = extract.run_extraction(path, DEFAULT_CONFIG).take_all()
+    want = oracle.run_oracle(corpus, DEFAULT_CONFIG)["final"].to_pylist()
+    assert len(calls) == 1
+    assert got == want
+
+
 def test_fused_plan_quarantines_corrupt_fragment(ray_session, tmp_path):
     """A corrupt row group mid-file must not kill the run: the fused
     plan emits one quarantined row identifying the fragment and keeps
@@ -545,19 +580,19 @@ def test_fragment_plan_rejects_coarse_row_groups(ray_session, tmp_path, monkeypa
     assert canon(a) == canon(b)
 
 
-def test_metrics_table_counts(ray_session, small_corpus):
-    """metrics_table (A6 run counters) settles Arrow block refs —
-    counts must equal a direct status histogram, sorted by status,
-    with no pandas on the path."""
+def test_status_counts_match_histogram(small_corpus, tmp_path):
+    """status_counts (A6 run counters) reads the status column of the
+    written parquet files — counts must equal a direct status
+    histogram, keyed in status order."""
     import collections
 
-    import ray.data
+    import pyarrow.parquet as pq
 
-    from document_extractor_ray.pipelines.outputs import metrics_table
+    from document_extractor_ray.pipelines.outputs import status_counts
 
     final = small_corpus["oracle"]["final"]
-    out = metrics_table(ray.data.from_arrow(final))
-    want = collections.Counter(final["status"].to_pylist())
-    got = dict(zip(out["status"].to_pylist(), out["count()"].to_pylist()))
-    assert got == dict(want)
-    assert out["status"].to_pylist() == sorted(want)
+    pq.write_to_dataset(final, str(tmp_path / "final"), partition_cols=["partition_id"])
+    got = status_counts(str(tmp_path / "final"))
+    assert got == dict(collections.Counter(final["status"].to_pylist()))
+    assert list(got) == sorted(got)
+    assert status_counts(str(tmp_path / "missing")) == {}

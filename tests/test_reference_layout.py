@@ -77,6 +77,31 @@ def test_noise_and_review_have_no_index_rows(layout):
             assert rec["url"] not in urls
 
 
+def test_layout_matches_standalone_sinks(small_corpus, tmp_path):
+    """The reference layout's chunk files and run CSV are byte-identical
+    to write_combined_text + write_index_csv over the same final table
+    (one chunker, one run-CSV formatter)."""
+    from document_extractor_ray.pipelines.outputs import (
+        write_combined_text,
+        write_index_csv,
+    )
+
+    final = small_corpus["oracle"]["final"]
+    cfg = DEFAULT_CONFIG.with_(max_combined_bytes=200_000)
+    info = write_reference_layout(final, str(tmp_path / "layout"), cfg)
+    sinks = tmp_path / "sinks"
+    chunks = write_combined_text(final, str(sinks), cfg)
+    write_index_csv(final, str(sinks / f"{cfg.run_id}.csv"), cfg)
+
+    assert len(chunks) > 1
+    assert [os.path.basename(p) for p in info["combined_files"]] == [
+        os.path.basename(p) for p in chunks
+    ]
+    for a, b in zip(info["combined_files"], chunks):
+        assert open(a, "rb").read() == open(b, "rb").read()
+    assert open(info["csv"], "rb").read() == (sinks / f"{cfg.run_id}.csv").read_bytes()
+
+
 def test_legacy_six_col_csv(tmp_path, small_corpus):
     from document_extractor_ray.pipelines.outputs import write_legacy_csv
     from document_extractor_ray.core.records import explode_unit_rows

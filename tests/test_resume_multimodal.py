@@ -68,6 +68,33 @@ class TestResume:
             assert rec["extractor_version"]
             assert rec["wall_s"] > 0
 
+    def test_status_counts_read_committed_files(
+        self, ray_session, sharded_input, tmp_path, monkeypatch
+    ):
+        """Lineage counts come from the status column of the committed
+        parquet files, with no Ray re-read of the shard output."""
+        import pyarrow.compute as pc
+
+        from document_extractor_ray import sources
+        from document_extractor_ray.pipelines import resume
+
+        def no_reread(*args, **kwargs):
+            raise AssertionError("shard output re-read through Ray")
+
+        monkeypatch.setattr(sources, "read_parquet_clean", no_reread)
+        out = str(tmp_path / "counts")
+        cfg = DEFAULT_CONFIG.with_(dedup=False)  # dedup's pre-scan reads via Ray
+        r = resume.run_resumable(sharded_input, out, cfg, shard_size=2)
+        assert r["complete"] and r["ran"] == [0, 1]
+        for sid, rec in resume.committed_shards(out).items():
+            final = pq.ParquetDataset(os.path.join(out, f"shard={sid}", "final")).read()
+            want = {
+                v["values"]: v["counts"]
+                for v in pc.value_counts(final["status"]).to_pylist()
+            }
+            assert rec["status_counts"] == want
+            assert rec["n_rows"] == final.num_rows > 0
+
     def test_partial_tmp_is_overwritten(self, ray_session, sharded_input, tmp_path):
         from document_extractor_ray.pipelines import resume
 
