@@ -7,8 +7,9 @@ Scale shapes (100 TB thinking):
   per group;
 - MinHash-LSH emits (band_id, band_hash, doc_id) rows — the only data
   crossing the shuffle is 3 small integers per band per doc — then
-  groups by band bucket to find candidates and verifies candidates by
-  full-signature agreement (estimated Jaccard), all mergeable;
+  groups by band bucket to find candidate pairs, recomputes signatures
+  for candidate docs only and verifies each candidate by full-signature
+  agreement (estimated Jaccard);
 - SimHash buckets on 16-bit chunks (4 tables) so near pairs within
   Hamming distance <= 3 of a 64-bit hash collide in at least one
   bucket (pigeonhole).
@@ -131,7 +132,8 @@ def exact_dup_losers(ds: "ray.data.Dataset", id_col: str = "doc_id", text_col: s
     doc, hash-bucketed partitions): a per-batch combiner CANNOT shrink
     the exchange here because any non-min id is itself output — so the
     batch stage tags its local non-mins as definite losers (global min
-    <= batch min) and forwards one min candidate per (hash, batch)."""
+    <= batch min) and forwards one min candidate per (hash, batch).
+    The loser ids come unordered: every caller uses them as a set."""
     from document_extractor_ray.functions import bucketing
 
     n_parts = bucketing.n_shuffle_parts()
@@ -177,72 +179,37 @@ def exact_dup_losers(ds: "ray.data.Dataset", id_col: str = "doc_id", text_col: s
         ds.map_batches(add_hash, batch_format="pyarrow")
         .groupby("part")
         .map_groups(resolve, batch_format="pyarrow")
-        .sort(id_col)
     )
 
 
-def near_dup_losers(
-    ds: "ray.data.Dataset",
-    threshold: float = 0.7,
-    edge_budget: int = None,  # None -> CLUSTER_EDGE_BUDGET (defined below)
-    lean: bool = False,
-):
+def near_dup_losers(ds: "ray.data.Dataset", threshold: float = 0.7):
     """Ids DROPPED by MinHash near-dedup: every member of a near-dup
     component except its min id.  Loser-set companion of
     ``near_dedup_keep`` — only nodes that appear in a dup pair can
     lose, so the output is bounded by the pair list, never the corpus.
 
     Scale shape: the pair graph is the tiny part (minhash_dup_pairs'
-    banded LSH emits a vanishing fraction of the corpus); below
-    ``edge_budget`` one driver union-find resolves components, above
-    it the distributed min-label propagation emits (node, label) for
-    paired nodes and the losers are the label != node rows."""
-    if edge_budget is None:
-        edge_budget = CLUSTER_EDGE_BUDGET
-    if lean:
-        # payload-lean two-phase plan (identical pairs, no sig shuffle)
-        pt = minhash_dup_pairs_lean(ds, threshold=threshold)
-        roots = cluster_pairs(
-            list(zip(pt["doc_a"].to_pylist(), pt["doc_b"].to_pylist()))
-        )
-        losers = sorted(n for n, r in roots.items() if r != n)
-        return ray.data.from_arrow(
-            pa.table({"doc_id": pa.array(losers, pa.int64())})
-        )
-    pairs = (
-        minhash_dup_pairs(ds, threshold=threshold)
-        .select_columns(["doc_a", "doc_b"])
-        .materialize()
+    banded LSH emits a vanishing fraction of the corpus, and its
+    candidates already reach the driver); one driver union-find
+    resolves the components."""
+    pairs = minhash_dup_pairs(ds, threshold=threshold)
+    roots = cluster_pairs(
+        e
+        for b in pairs.iter_batches(batch_format="pyarrow")
+        for e in zip(b["doc_a"].to_pylist(), b["doc_b"].to_pylist())
     )
-    if pairs.count() <= edge_budget:
-        edges = [
-            (r["doc_a"], r["doc_b"])
-            for b in pairs.iter_batches(batch_format="pyarrow")
-            for r in b.to_pylist()
-        ]
-        roots = cluster_pairs(edges)
-        losers = sorted(n for n, r in roots.items() if r != n)
-        return ray.data.from_arrow(
-            pa.table({"doc_id": pa.array(losers, pa.int64())})
-        )
-    labels = _propagate_labels(pairs)
-
-    def pick(t: pa.Table) -> pa.Table:
-        t = t.rename_columns(["doc_id", "cluster_id"])
-        return t.filter(pc.not_equal(t["doc_id"], t["cluster_id"])).select(
-            ["doc_id"]
-        )
-
-    return labels.map_batches(pick, batch_format="pyarrow").sort("doc_id")
+    losers = sorted(n for n, r in roots.items() if r != n)
+    return ray.data.from_arrow(pa.table({"doc_id": pa.array(losers, pa.int64())}))
 
 
 def _read_docs(sf_dir: str):
-    from document_extractor_ray.functions.analytics import _n_blocks
-
+    from document_extractor_ray.functions.bucketing import n_shuffle_parts
     from document_extractor_ray.sources import read_parquet_clean
 
     return read_parquet_clean(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"], override_num_blocks=_n_blocks()
+        f"{sf_dir}/documents.parquet",
+        columns=["doc_id", "text"],
+        override_num_blocks=n_shuffle_parts(),
     )
 
 
@@ -310,13 +277,7 @@ def minhash_signature(sh: Set[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
     universal hash: (a_i * x + b_i) mod 2^64 (native uint64 wraparound
     — an earlier mod-Mersenne variant needed Python big-int object
     arrays and was ~30x slower; any universal family preserves the
-    MinHash Jaccard estimate).
-
-    Note: a singleton-bucket pre-filter before the band groupby was
-    tried and REVERTED — recomputing signatures for a second pass cost
-    more than the per-group Python it saved at bench scale (2.7 s ->
-    5.1 s); at larger scale persist the exploded band table per shard
-    instead of recomputing."""
+    MinHash Jaccard estimate)."""
     if not sh:
         return np.full(N_HASHES, np.iinfo(np.uint64).max, dtype=np.uint64)
     x = np.fromiter(sh, dtype=np.uint64, count=len(sh))
@@ -336,7 +297,7 @@ _BAND_P = (
 
 
 class MinHasher:
-    """Actor-stage: hash params built once per worker."""
+    """Seeded hash params, built once per worker process (``_minhasher``)."""
 
     def __init__(self, seed: int = 42, k: int = 3):
         self.a, self.b = _hash_params(seed)
@@ -345,35 +306,45 @@ class MinHasher:
     def signature(self, text: str) -> np.ndarray:
         return minhash_signature(shingles(text, self.k), self.a, self.b)
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        """doc rows -> exploded (band_id, band_hash, doc_id, sig) rows.
-        The per-doc work is the shingle/signature kernel; the band
-        explode is pure numpy over the (n_docs, N_HASHES) signature
-        matrix."""
-        ids = t["doc_id"].to_numpy()
-        texts = t["text"].to_pylist()
-        n = len(texts)
-        sigs = np.empty((n, N_HASHES), dtype=np.uint64)
-        for i, text in enumerate(texts):
-            sigs[i] = self.signature(text)
-        with np.errstate(over="ignore"):
-            bh = (sigs.reshape(n, N_BANDS, ROWS_PER_BAND) * _BAND_P).sum(
-                axis=2, dtype=np.uint64
-            )
-        bh = (bh >> np.uint64(1)).astype(np.int64).reshape(-1)
-        sig_bytes = [s.tobytes() for s in sigs]
-        return pa.table(
-            {
-                "band_id": pa.array(
-                    np.tile(np.arange(N_BANDS, dtype=np.int32), n), pa.int32()
-                ),
-                "band_hash": pa.array(bh, pa.int64()),
-                "doc_id": pa.array(np.repeat(ids, N_BANDS), pa.int64()),
-                "sig": pa.array(
-                    [b for b in sig_bytes for _ in range(N_BANDS)], pa.binary()
-                ),
-            }
+
+def _minhasher(seed: int) -> MinHasher:
+    """The per-worker-process MinHasher for ``seed``.  Task pool, not an
+    actor pool: the only state is the 64 seeded hash params
+    (microseconds to build), so a module-cached instance gives the same
+    amortization without the pool's spin-up/teardown (PERF.md steps
+    19/25)."""
+    key = ("minhasher", seed)
+    if key not in _WORKER_CACHE:
+        _WORKER_CACHE[key] = MinHasher(seed=seed)
+    return _WORKER_CACHE[key]
+
+
+def _explode_slim(t: pa.Table, seed: int) -> pa.Table:
+    """doc rows -> (band_id, band_hash, doc_id) rows, N_BANDS per doc.
+    The per-doc work is the shingle/signature kernel; the band hash is
+    pure numpy over the (n_docs, N_HASHES) signature matrix.  The
+    signature itself is not shipped: 24 B per row cross the shuffle."""
+    mh = _minhasher(seed)
+    ids = t["doc_id"].to_numpy()
+    texts = t["text"].to_pylist()
+    n = len(texts)
+    sigs = np.empty((n, N_HASHES), dtype=np.uint64)
+    for i, text in enumerate(texts):
+        sigs[i] = mh.signature(text)
+    with np.errstate(over="ignore"):
+        bh = (sigs.reshape(n, N_BANDS, ROWS_PER_BAND) * _BAND_P).sum(
+            axis=2, dtype=np.uint64
         )
+    bh = (bh >> np.uint64(1)).astype(np.int64).reshape(-1)
+    return pa.table(
+        {
+            "band_id": pa.array(
+                np.tile(np.arange(N_BANDS, dtype=np.int32), n), pa.int32()
+            ),
+            "band_hash": pa.array(bh, pa.int64()),
+            "doc_id": pa.array(np.repeat(ids, N_BANDS), pa.int64()),
+        }
+    )
 
 
 def estimated_jaccard(sig_a: bytes, sig_b: bytes) -> float:
@@ -382,156 +353,29 @@ def estimated_jaccard(sig_a: bytes, sig_b: bytes) -> float:
     return float(np.mean(a == b))
 
 
-def minhash_dup_pairs(
-    ds: "ray.data.Dataset",
-    threshold: float = 0.7,
-    seed: int = 42,
-    max_bucket: int = None,
-):
-    """Near-duplicate pairs (doc_a < doc_b, est_jaccard >= threshold).
+def _lsh_candidates(
+    ds: "ray.data.Dataset", seed: int = 42, max_bucket: int = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """LSH candidate pairs and their signatures: ``(a_ids, b_ids, sa,
+    sb)`` with the pairs sorted by (a, b), a < b, each once, and sa / sb
+    the (n_pairs, N_HASHES) signature matrices of the two ends.  Every
+    MinHash operator verifies candidates from these matrices.
 
-    map_batches(MinHasher actor) -> band explode -> groupby band bucket
-    -> pairs within bucket verified by full-signature agreement ->
-    global pair dedup (a pair can collide in several bands)."""
-    # Task pool, not an actor pool: MinHasher's only state is the 64
-    # seeded hash params (microseconds to build), so a module-cached
-    # per-worker instance gives the same amortization without the
-    # pool's multi-second spin-up/teardown (PERF.md steps 19/25).
-    def minhash_explode(t: pa.Table, _seed=seed) -> pa.Table:
-        key = ("minhasher", _seed)
-        if key not in _WORKER_CACHE:
-            _WORKER_CACHE[key] = MinHasher(seed=_seed)
-        return _WORKER_CACHE[key](t)
-
-    exploded = ds.map_batches(
-        minhash_explode, batch_format="pyarrow", batch_size=512
-    )
-
-    empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "est_jaccard": pa.array([], pa.float64()),
-        }
-    )
-
-    def bucket_pairs(g: pa.Table) -> pa.Table:
-        if g.num_rows < 2:
-            return empty
-        g = _cap_bucket(g, "doc_id", "minhash", max_bucket)
-        n = g.num_rows
-        ids = g["doc_id"].to_numpy()
-        sig = np.frombuffer(b"".join(g["sig"].to_pylist()), dtype=np.uint64).reshape(
-            n, N_HASHES
-        )
-        # Pairwise signature agreement, vectorized in row chunks so the
-        # (chunk, n, N_HASHES) equality tensor stays ~8 MB.
-        out_a, out_b, out_e = [], [], []
-        chunk = max(1, (1 << 23) // (n * N_HASHES))
-        js = np.arange(n)
-        for i0 in range(0, n - 1, chunk):
-            i1 = min(i0 + chunk, n)
-            est = (sig[i0:i1, None, :] == sig[None, :, :]).mean(axis=2)
-            iglob = np.arange(i0, i1)[:, None]
-            mask = (est >= threshold) & (js[None, :] > iglob) & (
-                ids[None, :] != ids[iglob]
-            )
-            ii, jj = np.nonzero(mask)
-            if ii.size:
-                a_, b_ = ids[ii + i0], ids[jj]
-                lo, hi = np.minimum(a_, b_), np.maximum(a_, b_)
-                out_a.append(lo)
-                out_b.append(hi)
-                out_e.append(est[ii, jj])
-        if not out_a:
-            return empty
-        return pa.table(
-            {
-                "doc_a": pa.array(np.concatenate(out_a), pa.int64()),
-                "doc_b": pa.array(np.concatenate(out_b), pa.int64()),
-                "est_jaccard": pa.array(np.concatenate(out_e), pa.float64()),
-            }
-        )
-
-    # Band buckets are mostly singletons (one group per doc-band):
-    # the naive groupby(band).map_groups paid a Python call per DOC.
-    # bucketed_bucket_pairs runs pair_fn only on >= 2-row buckets
-    # inside ~CPU-count partitions (PERF.md step 22).
-    from document_extractor_ray.functions import bucketing
-
-    pairs = bucketing.bucketed_bucket_pairs(
-        exploded, ["band_id", "band_hash"], bucket_pairs, empty
-    )
-
-    # A near pair collides in multiple bands: global dedup on (a, b).
-    # The estimate is the same full-signature agreement in every band;
-    # pair keys are key-per-row, so the dedup is the bucketed max, not
-    # a native per-group aggregate.
-    return bucketing.bucketed_minmax(
-        pairs, ["doc_a", "doc_b"], "est_jaccard", "max"
-    ).sort(["doc_a", "doc_b"])
-
-
-def minhash_dup_pairs_docs(sf_dir: str, threshold: float = 0.7):
-    return minhash_dup_pairs(_read_docs(sf_dir), threshold=threshold)
-
-
-def minhash_dup_pairs_lean(
-    ds: "ray.data.Dataset",
-    threshold: float = 0.7,
-    seed: int = 42,
-    max_bucket: int = None,
-) -> pa.Table:
-    """Two-phase MinHash near-dup pairs for payload-heavy corpora —
-    IDENTICAL output to ``minhash_dup_pairs`` (same bands, same cap,
-    same full-signature estimate; pinned by test), different exchange
-    shape:
-
-    The classic plan ships the 512-byte signature with every one of
-    the 16 exploded band rows (~8 KB/doc through the shuffle — 80 GB
-    at 10M docs, guaranteed object-store spill).  Here:
-
-    - **Phase A** explodes only (band_id, band_hash, doc_id) — 24
-      B/row — and emits CANDIDATE pairs (every a<b sharing a capped
-      band bucket), deduped.  No signatures move.
-    - **Phase B** recomputes signatures ONLY for candidate docs (one
-      broadcast id-set filter pass over the corpus — the 'recompute
-      instead of persist' branch of the note at minhash_signature) and
-      verifies each candidate pair's full-signature agreement on the
-      driver with one vectorized numpy pass.
+    - **Candidates**: ``_explode_slim`` rows — no signatures — are
+      hash-partitioned on the band bucket; every a < b sharing a bucket
+      (capped at ``max_bucket`` ids, default MAX_BUCKET) is a candidate,
+      deduped across bands.
+    - **Signatures** are recomputed ONLY for candidate docs (one
+      broadcast id-set filter pass over the corpus) instead of riding
+      the 16 band rows of every doc through the shuffle (~8 KB/doc, 80
+      GB at 10M docs).
 
     Driver memory is bounded by the CANDIDATE set (dup mass + capped
-    pathological buckets), not the corpus; at 10^12 docs Phase B's
+    pathological buckets), not the corpus; at 10^12 docs the signature
     collect becomes a hash-partitioned sig join instead (documented
     boundary: ~50M candidates)."""
     from document_extractor_ray import state
     from document_extractor_ray.functions import bucketing
-
-    def explode_slim(t: pa.Table, _seed=seed) -> pa.Table:
-        key = ("minhasher", _seed)
-        if key not in _WORKER_CACHE:
-            _WORKER_CACHE[key] = MinHasher(seed=_seed)
-        mh = _WORKER_CACHE[key]
-        ids = t["doc_id"].to_numpy()
-        texts = t["text"].to_pylist()
-        n = len(texts)
-        sigs = np.empty((n, N_HASHES), dtype=np.uint64)
-        for i, text in enumerate(texts):
-            sigs[i] = mh.signature(text)
-        with np.errstate(over="ignore"):
-            bh = (sigs.reshape(n, N_BANDS, ROWS_PER_BAND) * _BAND_P).sum(
-                axis=2, dtype=np.uint64
-            )
-        bh = (bh >> np.uint64(1)).astype(np.int64).reshape(-1)
-        return pa.table(
-            {
-                "band_id": pa.array(
-                    np.tile(np.arange(N_BANDS, dtype=np.int32), n), pa.int32()
-                ),
-                "band_hash": pa.array(bh, pa.int64()),
-                "doc_id": pa.array(np.repeat(ids, N_BANDS), pa.int64()),
-            }
-        )
 
     empty = pa.table(
         {
@@ -601,6 +445,7 @@ def minhash_dup_pairs_lean(
         )
 
     def add_part(t: pa.Table) -> pa.Table:
+        t = _explode_slim(t, seed)
         return t.append_column(
             "part",
             bucketing.key_part_column(t, ["band_id", "band_hash"], n_parts),
@@ -612,11 +457,9 @@ def minhash_dup_pairs_lean(
     # at 8 cpus on 1M docs).  The table is 24 B/row — the same bytes
     # the sort would buffer internally anyway, so this costs nothing
     # at scale and pins the fast plan at every parallelism.
-    exploded = (
-        ds.map_batches(explode_slim, batch_format="pyarrow", batch_size=512)
-        .map_batches(add_part, batch_format="pyarrow")
-        .materialize()
-    )
+    exploded = ds.map_batches(
+        add_part, batch_format="pyarrow", batch_size=512
+    ).materialize()
     cand = (
         exploded.groupby("part")
         .map_groups(partition_candidates, batch_format="pyarrow")
@@ -624,44 +467,28 @@ def minhash_dup_pairs_lean(
     )
     # dedup candidate pairs (a pair collides in several bands)
     cand = bucketing.bucketed_minmax(cand, ["doc_a", "doc_b"], "one", "max")
-    pairs = [
-        (r["doc_a"], r["doc_b"])
-        for b in cand.iter_batches(batch_format="pyarrow")
-        for r in b.to_pylist()
-    ]
-    if not pairs:
-        return pa.table(
-            {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "est_jaccard": pa.array([], pa.float64()),
-            }
-        )
-    cand_ids = np.unique(np.array(pairs, dtype=np.int64).ravel())
-    ref = state.broadcast(cand_ids)
+    a_ids, b_ids = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for b in cand.iter_batches(batch_format="pyarrow"):
+        if not b.num_rows:  # the aggregate's empty blocks carry no schema
+            continue
+        a_ids.append(b["doc_a"].to_numpy())
+        b_ids.append(b["doc_b"].to_numpy())
+    a_ids, b_ids = np.concatenate(a_ids), np.concatenate(b_ids)
+    order = np.lexsort((b_ids, a_ids))
+    a_ids, b_ids = a_ids[order], b_ids[order]
+    if not a_ids.size:
+        no_sigs = np.empty((0, N_HASHES), dtype=np.uint64)
+        return a_ids, b_ids, no_sigs, no_sigs
+    ref = state.broadcast(np.unique(np.concatenate([a_ids, b_ids])))
 
-    def sig_of_candidates(t: pa.Table, _seed=seed) -> pa.Table:
-        key = ("minhasher", _seed)
-        if key not in _WORKER_CACHE:
-            _WORKER_CACHE[key] = MinHasher(seed=_seed)
-        mh = _WORKER_CACHE[key]
-        wanted = state.cached_get(ref)
+    def sig_of_candidates(t: pa.Table) -> pa.Table:
+        mh = _minhasher(seed)
         ids = t["doc_id"].to_numpy()
-        mask = np.isin(ids, wanted)
-        if not mask.any():
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "sig": pa.array([], pa.binary()),
-                }
-            )
-        sub_ids = ids[mask]
-        texts = [
-            x for x, m in zip(t["text"].to_pylist(), mask) if m
-        ]
+        mask = np.isin(ids, state.cached_get(ref))
+        texts = [x for x, m in zip(t["text"].to_pylist(), mask) if m]
         return pa.table(
             {
-                "doc_id": pa.array(sub_ids, pa.int64()),
+                "doc_id": pa.array(ids[mask], pa.int64()),
                 "sig": pa.array(
                     [mh.signature(x).tobytes() for x in texts], pa.binary()
                 ),
@@ -672,27 +499,42 @@ def minhash_dup_pairs_lean(
     for b in ds.map_batches(
         sig_of_candidates, batch_format="pyarrow"
     ).iter_batches(batch_format="pyarrow"):
-        for r in b.to_pylist():
-            sig_by_id[r["doc_id"]] = r["sig"]
+        sig_by_id.update(zip(b["doc_id"].to_pylist(), b["sig"].to_pylist()))
 
-    pairs.sort()
-    a_ids = np.array([p[0] for p in pairs], dtype=np.int64)
-    b_ids = np.array([p[1] for p in pairs], dtype=np.int64)
-    sa = np.frombuffer(
-        b"".join(sig_by_id[int(x)] for x in a_ids), dtype=np.uint64
-    ).reshape(len(pairs), N_HASHES)
-    sb = np.frombuffer(
-        b"".join(sig_by_id[int(x)] for x in b_ids), dtype=np.uint64
-    ).reshape(len(pairs), N_HASHES)
+    def sigs(ids: np.ndarray) -> np.ndarray:
+        return np.frombuffer(
+            b"".join(sig_by_id[int(x)] for x in ids), dtype=np.uint64
+        ).reshape(len(ids), N_HASHES)
+
+    return a_ids, b_ids, sigs(a_ids), sigs(b_ids)
+
+
+def minhash_dup_pairs(
+    ds: "ray.data.Dataset",
+    threshold: float = 0.7,
+    seed: int = 42,
+    max_bucket: int = None,
+):
+    """Near-duplicate pairs (doc_a < doc_b, est_jaccard >= threshold),
+    sorted by (doc_a, doc_b): the ``_lsh_candidates`` pairs whose
+    full-signature agreement (estimated Jaccard) reaches the
+    threshold."""
+    a_ids, b_ids, sa, sb = _lsh_candidates(ds, seed, max_bucket)
     est = (sa == sb).mean(axis=1)
     keep = est >= threshold
-    return pa.table(
-        {
-            "doc_a": pa.array(a_ids[keep], pa.int64()),
-            "doc_b": pa.array(b_ids[keep], pa.int64()),
-            "est_jaccard": pa.array(est[keep], pa.float64()),
-        }
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_a": pa.array(a_ids[keep], pa.int64()),
+                "doc_b": pa.array(b_ids[keep], pa.int64()),
+                "est_jaccard": pa.array(est[keep], pa.float64()),
+            }
+        )
     )
+
+
+def minhash_dup_pairs_docs(sf_dir: str, threshold: float = 0.7):
+    return minhash_dup_pairs(_read_docs(sf_dir), threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -2716,39 +2558,17 @@ def lsh_band_histogram(ds: "ray.data.Dataset", seed: int = 42):
     healthy index is dominated by size-1 buckets; a fat tail here
     predicts quadratic pair blowups before any pair is emitted.
 
-    Scale shape: the minhash_dup_pairs band explode (module-cached
-    hasher, signatures never shipped — only (band, hash) int rows),
-    bucket sizes via ONE pair-keyed ``bucketed_agg`` count, then the
-    (bands × sizes)-bounded histogram folds on the driver (PERF 32)."""
+    Scale shape: the minhash_dup_pairs band explode (``_explode_slim``
+    with doc_id dropped — only (band, hash) int rows), bucket sizes
+    via ONE pair-keyed ``bucketed_agg`` count, then the (bands ×
+    sizes)-bounded histogram folds on the driver (PERF 32)."""
     from document_extractor_ray.functions.bucketing import bucketed_agg
 
-    def band_explode(t: pa.Table, _seed=seed) -> pa.Table:
-        key = ("minhasher", _seed)
-        if key not in _WORKER_CACHE:
-            _WORKER_CACHE[key] = MinHasher(seed=_seed)
-        h = _WORKER_CACHE[key]
-        ids = t["doc_id"].to_numpy()
-        texts = t["text"].to_pylist()
-        n = len(texts)
-        sigs = np.empty((n, N_HASHES), dtype=np.uint64)
-        for i, text in enumerate(texts):
-            sigs[i] = h.signature(text)
-        with np.errstate(over="ignore"):
-            bh = (sigs.reshape(n, N_BANDS, ROWS_PER_BAND) * _BAND_P).sum(
-                axis=2, dtype=np.uint64
-            )
-        bh = (bh >> np.uint64(1)).astype(np.int64).reshape(-1)
-        return pa.table(
-            {
-                "band_id": pa.array(
-                    np.tile(np.arange(N_BANDS, dtype=np.int32), n), pa.int32()
-                ),
-                "band_hash": pa.array(bh, pa.int64()),
-            }
-        )
+    def band_rows(t: pa.Table) -> pa.Table:
+        return _explode_slim(t, seed).drop_columns(["doc_id"])
 
     sizes = bucketed_agg(
-        ds.map_batches(band_explode, batch_format="pyarrow", batch_size=512),
+        ds.map_batches(band_rows, batch_format="pyarrow", batch_size=512),
         ["band_id", "band_hash"],
         [(None, "count", "sz")],
     )
@@ -2903,98 +2723,27 @@ def bbit_minhash_agreement(
     of the dropped 63 bits, measured on real pairs (the same
     sketch-vs-exact shape as bloom_decontaminate / hdr_quantile_error).
 
-    Scale shape: identical to minhash_dup_pairs (band explode ->
-    capped bucket pairs -> integer agreement kernel); the two counts
-    pack into ONE int for the pair-dedup bucketed max and unpack in a
-    final map, so the exchange carries one value column.  Threshold
-    compares as agree*1000 >= 700*64 — no float anywhere."""
-    def minhash_explode(t: pa.Table, _seed=seed) -> pa.Table:
-        key = ("minhasher", _seed)
-        if key not in _WORKER_CACHE:
-            _WORKER_CACHE[key] = MinHasher(seed=_seed)
-        return _WORKER_CACHE[key](t)
-
-    exploded = ds.map_batches(
-        minhash_explode, batch_format="pyarrow", batch_size=512
-    )
-
-    empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "packed": pa.array([], pa.int64()),
-        }
-    )
-
-    def bucket_pairs(g: pa.Table) -> pa.Table:
-        if g.num_rows < 2:
-            return empty
-        g = _cap_bucket(g, "doc_id", "minhash", max_bucket)
-        n = g.num_rows
-        ids = g["doc_id"].to_numpy()
-        sig = np.frombuffer(b"".join(g["sig"].to_pylist()), dtype=np.uint64).reshape(
-            n, N_HASHES
-        )
-        bit = (sig & np.uint64(1)).astype(np.int8)
-        out_a, out_b, out_p = [], [], []
-        chunk = max(1, (1 << 23) // (n * N_HASHES))
-        js = np.arange(n)
-        for i0 in range(0, n - 1, chunk):
-            i1 = min(i0 + chunk, n)
-            agree = (sig[i0:i1, None, :] == sig[None, :, :]).sum(axis=2)
-            a1 = (bit[i0:i1, None, :] == bit[None, :, :]).sum(axis=2)
-            iglob = np.arange(i0, i1)[:, None]
-            mask = (
-                (agree * 1000 >= BBIT_THRESH_PERMILLE * N_HASHES)
-                & (js[None, :] > iglob)
-                & (ids[None, :] != ids[iglob])
-            )
-            ii, jj = np.nonzero(mask)
-            if ii.size:
-                a_, b_ = ids[ii + i0], ids[jj]
-                lo, hi = np.minimum(a_, b_), np.maximum(a_, b_)
-                out_a.append(lo)
-                out_b.append(hi)
-                out_p.append(
-                    (agree[ii, jj] * 100 + a1[ii, jj]).astype(np.int64)
-                )
-        if not out_a:
-            return empty
-        return pa.table(
+    Scale shape: identical to minhash_dup_pairs — both counts come
+    from the ``_lsh_candidates`` signature matrices, so no signature
+    crosses a shuffle.  Threshold compares as agree*1000 >= 700*64 —
+    no float anywhere."""
+    a_ids, b_ids, sa, sb = _lsh_candidates(ds, seed, max_bucket)
+    agree = (sa == sb).sum(axis=1).astype(np.int64)
+    a1 = ((sa & np.uint64(1)) == (sb & np.uint64(1))).sum(axis=1).astype(np.int64)
+    keep = agree * 1000 >= BBIT_THRESH_PERMILLE * N_HASHES
+    agree, a1 = agree[keep], a1[keep]
+    return ray.data.from_arrow(
+        pa.table(
             {
-                "doc_a": pa.array(np.concatenate(out_a), pa.int64()),
-                "doc_b": pa.array(np.concatenate(out_b), pa.int64()),
-                "packed": pa.array(np.concatenate(out_p), pa.int64()),
-            }
-        )
-
-    from document_extractor_ray.functions import bucketing
-
-    pairs = bucketing.bucketed_bucket_pairs(
-        exploded, ["band_id", "band_hash"], bucket_pairs, empty
-    )
-    deduped = bucketing.bucketed_minmax(
-        pairs, ["doc_a", "doc_b"], "packed", "max"
-    )
-
-    def unpack(t: pa.Table) -> pa.Table:
-        p = t["packed"].to_numpy(zero_copy_only=False)
-        full = p // 100
-        a1 = p % 100
-        return pa.table(
-            {
-                "doc_a": t["doc_a"],
-                "doc_b": t["doc_b"],
-                "agree_full": pa.array(full, pa.int64()),
+                "doc_a": pa.array(a_ids[keep], pa.int64()),
+                "doc_b": pa.array(b_ids[keep], pa.int64()),
+                "agree_full": pa.array(agree, pa.int64()),
                 "agree_1bit": pa.array(a1, pa.int64()),
                 "est_b1_permille": pa.array(
                     2 * a1 * 1000 // N_HASHES - 1000, pa.int64()
                 ),
             }
         )
-
-    return deduped.map_batches(unpack, batch_format="pyarrow").sort(
-        ["doc_a", "doc_b"]
     )
 
 

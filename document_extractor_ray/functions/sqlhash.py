@@ -198,7 +198,7 @@ sigs AS (
 def _band_ctes() -> str:
     """CTEs ``bandh(doc_id, band_id, band_hash)``: the 16-band LSH
     bucket keys — sum of sig * band-multiplier mod 2^64, >> 1
-    (mirrors the MinHasher band explode)."""
+    (mirrors the dedup._explode_slim band explode)."""
     bp = [int(v) for v in _dd._BAND_P]
     cases = "\n           ".join(
         f"WHEN {r} THEN {_mulmod64('sigs.sig', bp[r])}" for r in range(len(bp))

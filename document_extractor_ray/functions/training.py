@@ -27,14 +27,14 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from document_extractor_ray.functions.analytics import _n_blocks
+from document_extractor_ray.functions.bucketing import n_shuffle_parts
 
 
 def _read_docs(sf_dir: str, columns):
     from document_extractor_ray.sources import read_parquet_clean
 
     return read_parquet_clean(
-        f"{sf_dir}/documents.parquet", columns=columns, override_num_blocks=_n_blocks()
+        f"{sf_dir}/documents.parquet", columns=columns, override_num_blocks=n_shuffle_parts()
     )
 
 
@@ -132,8 +132,8 @@ def pack_sequences(
 
     # Materialize the SLIM token table (text dropped — 32 B/row) before
     # the exchange: the groupby's all-to-all pulling from the live
-    # upstream map thrashes at low CPU counts (the minhash_dup_pairs_lean
-    # finding, PERF step 43; in-chain pack on 765k docs @8 cpus was
+    # upstream map thrashes at low CPU counts (first seen at the MinHash
+    # band explode, PERF step 43; in-chain pack on 765k docs @8 cpus was
     # 252 s lazily vs ~40 s with the boundary).  At 10M docs this is
     # ~320 MB — the bytes the sort would buffer anyway.
     slim = ds.map_batches(count_tokens, batch_format="pyarrow").materialize()
@@ -455,7 +455,7 @@ def domain_cap(sf_dir: str, cap: int = DOMAIN_CAP_K):
     column would hash the host bytes (content_hash_batch) to the same
     bucket space."""
     ds = _read_docs(sf_dir, ["doc_id"])
-    n_parts = _n_blocks()
+    n_parts = n_shuffle_parts()
 
     def prep(t: pa.Table) -> pa.Table:
         did = t["doc_id"].to_numpy(zero_copy_only=False)

@@ -203,16 +203,19 @@ def _clean_scrub(t: pa.Table) -> pa.Table:
 
 
 def _loser_ids(losers: "ray.data.Dataset") -> np.ndarray:
-    """The ``doc_id`` column of a loser Dataset as one int64 array."""
+    """The ``doc_id`` column of a loser Dataset as one int64 array
+    (empty blocks of a shuffle output may carry no schema)."""
     batches = losers.iter_batches(batch_format="pyarrow")
     return np.concatenate(
-        [np.empty(0, np.int64)] + [b["doc_id"].to_numpy() for b in batches]
+        [np.empty(0, np.int64)]
+        + [b["doc_id"].to_numpy() for b in batches if b.num_rows]
     )
 
 
 def _range_size(n_docs: int, docs_per_range: int = DOCS_PER_RANGE) -> int:
     n_ranges = max(1, n_docs // docs_per_range)
-    return max(1, (1 << 63) // n_ranges)
+    # one range (< 2 * docs_per_range docs) would be 2^63, past int64
+    return max(1, min((1 << 63) // n_ranges, (1 << 63) - 1))
 
 
 def run_curation(
@@ -285,7 +288,7 @@ def run_curation(
     exact = _loser_ids(exact_dup_losers(docs_ds()))
     metrics["t_exact_losers"] = time.monotonic() - t0
     t0 = time.monotonic()
-    near = _loser_ids(near_dup_losers(docs_ds(), threshold=threshold, lean=True))
+    near = _loser_ids(near_dup_losers(docs_ds(), threshold=threshold))
     metrics["t_near_losers"] = time.monotonic() - t0
     drop = np.union1d(exact, near)
     metrics["exact_losers"] = int(exact.size)

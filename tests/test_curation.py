@@ -112,17 +112,16 @@ def test_loser_sets_complement_keep_sets(chain_run):
     assert len(lose_exact) == chain_run["r"]["metrics"]["exact_losers"]
 
     keep_near = ids(dedup.near_dedup_keep(ds()))
-    lose_near = ids(dedup.near_dup_losers(ds(), lean=True))
+    lose_near = ids(dedup.near_dup_losers(ds()))
     assert keep_near | lose_near == all_ids
     assert not (keep_near & lose_near)
 
 
-def test_lean_minhash_pairs_equal_classic(chain_run):
-    """The payload-lean two-phase MinHash plan (no sig shuffle) must
-    emit bit-identical pairs to the classic exploded plan."""
+def test_bbit_agreement_matches_minhash_pairs(chain_run):
+    """bbit_minhash_agreement and minhash_dup_pairs verify the same LSH
+    candidates: at the b-bit audit's 700-permille threshold they keep
+    the same pairs, and the full agreement is the Jaccard estimate."""
     import glob
-
-    import pyarrow as pa
 
     from document_extractor_ray.functions import dedup
     from document_extractor_ray.sources import read_parquet_clean
@@ -132,18 +131,60 @@ def test_lean_minhash_pairs_equal_classic(chain_run):
     def ds():
         return read_parquet_clean(files, columns=["doc_id", "text"])
 
-    classic = pa.concat_tables(
-        [
-            b
-            for b in dedup.minhash_dup_pairs(ds(), threshold=0.7).iter_batches(
-                batch_format="pyarrow"
-            )
-            if b.num_rows
-        ]
-    ).sort_by([("doc_a", "ascending"), ("doc_b", "ascending")])
-    lean = dedup.minhash_dup_pairs_lean(ds(), threshold=0.7)
-    assert classic.equals(lean)
-    assert lean.num_rows > 0
+    pairs = dedup.minhash_dup_pairs(ds(), threshold=0.7).take_all()
+    bbit = dedup.bbit_minhash_agreement(ds()).take_all()
+    assert [(r["doc_a"], r["doc_b"]) for r in bbit] == [
+        (r["doc_a"], r["doc_b"]) for r in pairs
+    ]
+    assert [r["agree_full"] / dedup.N_HASHES for r in bbit] == [
+        r["est_jaccard"] for r in pairs
+    ]
+    assert bbit
+
+
+def test_tiny_corpus_chain_equals_sequential(ray_session, tmp_path):
+    """Below 2 * DOCS_PER_RANGE cleaned docs the chain packs one doc_id
+    range, whose size must still fit int64."""
+    from document_extractor_ray import fixtures
+    from document_extractor_ray.pipelines import curation
+
+    pages = curation.plant_dup_pages(fixtures.make_pages_table(100, seed=7))
+    pages_path = str(tmp_path / "pages.parquet")
+    pq.write_table(pages, pages_path)
+    r = curation.run_curation(
+        pages_path, DEFAULT_CONFIG, work_dir=str(tmp_path / "work")
+    )
+    assert r["metrics"]["docs_after_clean"] < 2 * curation.DOCS_PER_RANGE
+    dist = curation.packed_to_table(r["packed"])
+    assert dist.num_rows > 0
+    assert dist.equals(curation.sequential_curation(pages, DEFAULT_CONFIG))
+
+
+def test_chain_modules_do_not_load_analytics():
+    """The curation chain's modules import without the analytics
+    operator library."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys\n"
+        "import document_extractor_ray.pipelines.curation\n"
+        "import document_extractor_ray.functions.training\n"
+        "import document_extractor_ray.functions.dedup\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('document_extractor_ray.functions.analytics')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": root},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_checkpoint_resume_skips_extraction(chain_run):
